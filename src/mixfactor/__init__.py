@@ -69,14 +69,10 @@ from .rurv import (
 )
 from .transforms import (
     ColumnNormStats,
-    FftPlan,
     RosOperator,
     column_norm_stats,
     dct2,
     dct3,
-    fft,
-    ifft,
-    plan_fft,
     ros_apply,
     ros_dense,
     ros_sample,

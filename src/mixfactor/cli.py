@@ -23,7 +23,7 @@ import numpy as np
 
 from .diagnostics import FIRST_FACTORIZATIONS, qlp, rr_conditions, rvalue_ratios
 from .errors import NumericalError
-from .linalg import extract_r, house_qr, house_qrcp, jacobi_svd
+from .linalg import jacobi_svd
 from .lstsq import (
     BASIC_METHODS,
     OVERDETERMINED_METHODS,
@@ -40,12 +40,12 @@ from .matgen import (
     gen_kahan,
 )
 from .mmio import FormatError, read_matrix, write_matrix
-from .rurv import haar_sample, rurv_haar, rurv_ros, rurv_ros_partial, rvlu_ros
+from .rurv import haar_sample, rurv_ros_partial, rvlu_ros
 from .transforms import column_norm_stats, ros_apply, ros_sample
 
 FAMILIES = ("kahan", "gap", "devils-stairs", "correlated", "condition", "heavytail")
 EXPERIMENTS = ("mix-norms", "rr-scaling", "rvalues", "qlp", "ls-bench")
-FACTOR_METHODS = ("qr", "qrcp", "rurv-haar", "rurv-ros", "rvlu-ros")
+FACTOR_METHODS = tuple(FIRST_FACTORIZATIONS) + ("rvlu-ros",)
 SOLVE_METHODS = OVERDETERMINED_METHODS + BASIC_METHODS + ("rvlu-minnorm",)
 
 
@@ -195,19 +195,12 @@ def cmd_factor(args):
     if args.rank is not None and args.method != "rurv-ros":
         raise ValueError("--rank applies to the rurv-ros method only")
     t0 = time.perf_counter()
-    if args.method == "qr":
-        r = extract_r(house_qr(a))
-    elif args.method == "qrcp":
-        r = extract_r(house_qrcp(a))
-    elif args.method == "rurv-haar":
-        r = rurv_haar(a, rng).r
-    elif args.method == "rurv-ros":
-        if args.rank is not None:
-            r = rurv_ros_partial(a, args.rank, args.mixes, rng).r
-        else:
-            r = rurv_ros(a, args.mixes, rng).r
-    else:  # rvlu-ros
+    if args.rank is not None:
+        r = rurv_ros_partial(a, args.rank, args.mixes, rng).r
+    elif args.method == "rvlu-ros":
         r = rvlu_ros(a, args.mixes, rng).l.T
+    else:
+        r = FIRST_FACTORIZATIONS[args.method](a, args.mixes, rng)
     elapsed = _elapsed_since(t0, args)
     count = args.rank if args.rank is not None else min(r.shape)
     values = np.abs(np.diagonal(r))[:count]
@@ -329,7 +322,7 @@ def _exp_rr_scaling(args, root):
                 mats.append((a, _family_sigma(a, sigma)))
         collected = {name: [] for name in ("qrcp", "rurv-haar", "rurv-ros")}
         for i, (a, sigma_ref) in enumerate(mats):
-            report = rr_conditions(sigma_ref, extract_r(house_qrcp(a)), k)
+            report = rr_conditions(sigma_ref, FIRST_FACTORIZATIONS["qrcp"](a, args.mixes, None), k)
             collected["qrcp"].append(report)
             rows.append([args.family, m, "qrcp", i, 0, k,
                          report.max_ratio_r11, report.max_ratio_r22,
@@ -338,11 +331,8 @@ def _exp_rr_scaling(args, root):
             for i in range(args.reps):
                 a, sigma_ref = mats[i % len(mats)]
                 mix_rng = root.spawn(1)[0]
-                if backend == "rurv-haar":
-                    fac = rurv_haar(a, mix_rng)
-                else:
-                    fac = rurv_ros(a, args.mixes, mix_rng)
-                report = rr_conditions(sigma_ref, fac.r, k)
+                r = FIRST_FACTORIZATIONS[backend](a, args.mixes, mix_rng)
+                report = rr_conditions(sigma_ref, r, k)
                 collected[backend].append(report)
                 rows.append([args.family, m, backend, i, 0, k,
                              report.max_ratio_r11, report.max_ratio_r22,
@@ -370,14 +360,7 @@ def _exp_rvalues(args, root):
     rows = []
     for backend in FIRST_FACTORIZATIONS:
         mix_rng = root.spawn(1)[0]
-        if backend == "qr":
-            r = extract_r(house_qr(a))
-        elif backend == "qrcp":
-            r = extract_r(house_qrcp(a))
-        elif backend == "rurv-haar":
-            r = rurv_haar(a, mix_rng).r
-        else:
-            r = rurv_ros(a, args.mixes, mix_rng).r
+        r = FIRST_FACTORIZATIONS[backend](a, args.mixes, mix_rng)
         report = rvalue_ratios(r[:m, :m], sigma_ref)
         rvalues = np.sort(np.abs(np.diagonal(r[:m, :m])))[::-1]
         for i in range(m):

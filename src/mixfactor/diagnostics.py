@@ -16,7 +16,14 @@ from .errors import SingularMatrixError
 from .linalg import back_substitute, extract_r, forward_substitute, house_qr, house_qrcp, jacobi_svd
 from .rurv import rurv_haar, rurv_ros
 
-FIRST_FACTORIZATIONS = ("qr", "qrcp", "rurv-haar", "rurv-ros")
+# name -> f(a, num_mixes, rng) returning the full-height triangular factor R;
+# the order is the order of CLI choices and of experiment rows
+FIRST_FACTORIZATIONS = {
+    "qr": lambda a, num_mixes, rng: extract_r(house_qr(a)),
+    "qrcp": lambda a, num_mixes, rng: extract_r(house_qrcp(a)),
+    "rurv-haar": lambda a, num_mixes, rng: rurv_haar(a, rng).r,
+    "rurv-ros": lambda a, num_mixes, rng: rurv_ros(a, num_mixes, rng).r,
+}
 
 
 @dataclass
@@ -195,16 +202,9 @@ def qlp(a, first="qrcp", num_mixes=1, rng=None):
     sorted descending, estimate the singular values far more tightly than
     the R-values from the first pass alone.
     """
-    if first == "qr":
-        r = extract_r(house_qr(a))
-    elif first == "qrcp":
-        r = extract_r(house_qrcp(a))
-    elif first == "rurv-haar":
-        r = rurv_haar(a, rng).r
-    elif first == "rurv-ros":
-        r = rurv_ros(a, num_mixes, rng).r
-    else:
-        raise ValueError(f"first must be one of {FIRST_FACTORIZATIONS}, got {first!r}")
+    if first not in FIRST_FACTORIZATIONS:
+        raise ValueError(f"first must be one of {tuple(FIRST_FACTORIZATIONS)}, got {first!r}")
+    r = FIRST_FACTORIZATIONS[first](a, num_mixes, rng)
     r = r[: min(r.shape), :]
     second = house_qr(r.T)
     l_values = np.abs(np.diagonal(extract_r(second)))

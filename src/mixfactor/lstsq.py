@@ -200,7 +200,7 @@ def _draw_mixed_basis(a, rng, num_mixes):
     m = a.shape[0]
     best = None
     for draws in range(1, _MAX_DRAWS + 1):
-        v, mixed = _mix_and_sort(a, num_mixes, rng, presort=True)
+        v, mixed = _mix_and_sort(a, num_mixes, rng)
         # only the leading m sorted columns are factored; the rest never
         # enter the triangular solve because their coefficients are zero
         f = house_qr(mixed[:, :m])

@@ -96,35 +96,31 @@ def rurv_haar(a, rng=None):
     return UrvFactorization(u=f, r=extract_r(f), v=v, kind="haar", rank_used=min(m, n))
 
 
-def _mix_and_sort(a, num_mixes, rng, presort):
+def _mix_and_sort(a, num_mixes, rng):
     v = ros_sample(a.shape[1], num_mixes, rng)
     mixed = ros_apply(v, a, "right-transpose")
-    if presort:
-        norms = np.linalg.norm(mixed, axis=0)
-        order = np.argsort(-norms, kind="stable")
-        v.presort = order
-        mixed = mixed[:, order]
-    return v, mixed
+    norms = np.linalg.norm(mixed, axis=0)
+    v.presort = np.argsort(-norms, kind="stable")
+    return v, mixed[:, v.presort]
 
 
-def rurv_ros(a, num_mixes=1, rng=None, presort=True):
+def rurv_ros(a, num_mixes=1, rng=None):
     """Randomized URV with fast ROS mixing.
 
     The columns of A are mixed by the implicit operator, sorted by
     decreasing 2-norm (stable, so ties keep their original order), and the
     sorted matrix is factored by unpivoted QR.  The sorting permutation is
-    folded into the returned operator, so U @ R @ V reproduces A.  Pass
-    ``presort=False`` to skip the sort when comparing its effect.
+    folded into the returned operator, so U @ R @ V reproduces A.
     """
     a = as_matrix(a)
     m, n = a.shape
     rng = np.random.default_rng(rng)
-    v, mixed = _mix_and_sort(a, num_mixes, rng, presort)
+    v, mixed = _mix_and_sort(a, num_mixes, rng)
     f = house_qr(mixed)
     return UrvFactorization(u=f, r=extract_r(f), v=v, kind="ros", rank_used=min(m, n))
 
 
-def rurv_ros_partial(a, k, num_mixes=1, rng=None, presort=True):
+def rurv_ros_partial(a, k, num_mixes=1, rng=None):
     """Rank-k partial RURV: identical mixing, only k elimination steps.
 
     With k = min(m, n) the result is bit-identical to rurv_ros for the same
@@ -136,7 +132,7 @@ def rurv_ros_partial(a, k, num_mixes=1, rng=None, presort=True):
     if not 1 <= k <= min(m, n):
         raise ValueError(f"target rank must lie in [1, {min(m, n)}], got {k}")
     rng = np.random.default_rng(rng)
-    v, mixed = _mix_and_sort(a, num_mixes, rng, presort)
+    v, mixed = _mix_and_sort(a, num_mixes, rng)
     f = house_qr(mixed, steps=k)
     return UrvFactorization(u=f, r=extract_r(f), v=v, kind="ros", rank_used=k)
 

@@ -1,11 +1,8 @@
 """Fast orthonormal DCT-II/DCT-III and the implicit random mixing operator.
 
-The DCTs ride on an in-house complex FFT: iterative radix-2 for power-of-two
-lengths, recursive Cooley-Tukey splitting for composite lengths, a direct
-matrix product for small prime lengths, and Bluestein's chirp-z embedding
-for large primes.  Plans (twiddle tables, bit-reversal orders, sub-plans,
-chirp spectra) are cached per length and are immutable once built, so they
-can be shared freely across threads.
+The DCTs ride on numpy's complex FFT (``np.fft``), one length-n transform
+per DCT whatever the length: a reorder and a quarter-sample twiddle turn
+the complex spectrum into the real cosine coefficients.
 
 A RosOperator represents the orthogonal mixing matrix
 
@@ -16,187 +13,20 @@ random +-1 diagonal, and P is an optional permutation applied last (set by
 the factorization layer after sorting mixed column norms).
 """
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import as_matrix
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass
-class FftPlan:
-    """Precomputed tables for one transform length; read-only after creation."""
-
-    length: int
-    strategy: str  # "radix-2", "split", "direct", or "bluestein"
-    bitrev: np.ndarray | None = None
-    stage_twiddles: list = field(default_factory=list)
-    radix: int = 0  # "split": leading factor p of length = p * sub.length
-    twiddle: np.ndarray | None = None  # "split": W_n^(r k), shape (p, n // p)
-    dft: np.ndarray | None = None  # "split"/"direct": dense DFT matrix
-    sub_plan: "FftPlan | None" = None
-    chirp: np.ndarray | None = None
-    chirp_fft: np.ndarray | None = None
-    conv_plan: "FftPlan | None" = None
-
-
-_plan_lock = threading.RLock()
-_plan_cache: dict[int, FftPlan] = {}
-_dct_cache: dict[int, tuple] = {}
-
-_DIRECT_LIMIT = 64  # largest prime length solved by a dense DFT product
-
-
-def _bit_reversal(n):
-    bits = n.bit_length() - 1
-    src = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (src & 1)
-        src >>= 1
-    return rev
-
-
-def _dft_matrix(n):
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
-
-
-def _smallest_prime_factor(n):
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return p
-    p = 11
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
-def _build_plan(n):
-    if n & (n - 1) == 0:
-        twiddles = []
-        half = 1
-        while half < n:
-            twiddles.append(np.exp(-1j * np.pi * np.arange(half) / half))
-            half *= 2
-        return FftPlan(length=n, strategy="radix-2", bitrev=_bit_reversal(n), stage_twiddles=twiddles)
-    p = _smallest_prime_factor(n)
-    if p < n:
-        # Cooley-Tukey: one length-n DFT as p interleaved length-m DFTs,
-        # twiddles, and a length-p DFT across the interleave index
-        m = n // p
-        twiddle = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(m)) / n)
-        return FftPlan(
-            length=n,
-            strategy="split",
-            radix=p,
-            twiddle=twiddle,
-            dft=_dft_matrix(p),
-            sub_plan=plan_fft(m),
-        )
-    if n <= _DIRECT_LIMIT:
-        return FftPlan(length=n, strategy="direct", dft=_dft_matrix(n))
-    # Bluestein: DFT of length n as a circular convolution of length M = 2^k
-    k = np.arange(n)
-    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-    m = 1 << (2 * n - 1).bit_length()
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[1:][::-1])
-    conv_plan = plan_fft(m)
-    return FftPlan(
-        length=n,
-        strategy="bluestein",
-        chirp=chirp,
-        chirp_fft=_fft_radix2(conv_plan, b),
-        conv_plan=conv_plan,
-    )
-
-
-def plan_fft(n):
-    """Return the cached FftPlan for length ``n``, building it if needed."""
-    if n < 1:
-        raise ValueError(f"transform length must be positive, got {n}")
-    with _plan_lock:
-        plan = _plan_cache.get(n)
-        if plan is None:
-            plan = _build_plan(n)
-            _plan_cache[n] = plan
-    return plan
-
-
-def _fft_radix2(plan, x):
-    n = plan.length
-    y = np.ascontiguousarray(x[..., plan.bitrev], dtype=np.complex128)
-    batch = y.shape[:-1]
-    for w in plan.stage_twiddles:
-        half = w.shape[0]
-        y = y.reshape(batch + (n // (2 * half), 2, half))
-        a = y[..., 0, :]
-        t = y[..., 1, :] * w
-        y = np.concatenate((a + t, a - t), axis=-1).reshape(batch + (n,))
-    return y
-
-
-def _fft_split(plan, x):
-    p, m = plan.radix, plan.sub_plan.length
-    # x[..., p*t + r] for fixed r is a length-m subsequence; transform each,
-    # twiddle, then combine the p spectra with a dense length-p DFT
-    sub = np.swapaxes(x.reshape(x.shape[:-1] + (m, p)), -1, -2)
-    t = _fft_any(plan.sub_plan, sub) * plan.twiddle
-    out = np.einsum("qr,...rk->...qk", plan.dft, t)
-    return out.reshape(x.shape[:-1] + (p * m,))
-
-
-def _fft_bluestein(plan, x):
-    n = plan.length
-    m = plan.conv_plan.length
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * plan.chirp
-    spec = _fft_radix2(plan.conv_plan, a) * plan.chirp_fft
-    conv = np.conj(_fft_radix2(plan.conv_plan, np.conj(spec))) / m
-    return plan.chirp * conv[..., :n]
-
-
-def _fft_any(plan, x):
-    if plan.strategy == "radix-2":
-        return _fft_radix2(plan, x)
-    if plan.strategy == "split":
-        return _fft_split(plan, x)
-    if plan.strategy == "direct":
-        return x @ plan.dft
-    return _fft_bluestein(plan, x)
-
-
-def fft(plan, x):
-    """Unnormalized forward DFT along the last axis of ``x``."""
-    x = np.asarray(x)
-    if x.shape[-1] != plan.length:
-        raise ValueError(f"input length {x.shape[-1]} does not match plan length {plan.length}")
-    return _fft_any(plan, np.asarray(x, dtype=np.complex128))
-
-
-def ifft(plan, x):
-    """Inverse DFT along the last axis (includes the 1/n scaling)."""
-    return np.conj(fft(plan, np.conj(np.asarray(x)))) / plan.length
-
 
 def _dct_tables(n):
-    with _plan_lock:
-        tables = _dct_cache.get(n)
-        if tables is None:
-            twiddle = np.exp(-1j * np.pi * np.arange(n) / (2 * n))
-            weights = np.full(n, np.sqrt(2.0 / n))
-            weights[0] = np.sqrt(1.0 / n)
-            tables = (twiddle, weights)
-            _dct_cache[n] = tables
-    return tables
+    """Quarter-sample twiddle and orthonormal weights for length n."""
+    twiddle = np.exp(-1j * np.pi * np.arange(n) / (2 * n))
+    weights = np.full(n, np.sqrt(2.0 / n))
+    weights[0] = np.sqrt(1.0 / n)
+    return twiddle, weights
 
 
 def dct2(x, axis=-1):
@@ -211,7 +41,7 @@ def dct2(x, axis=-1):
     y = np.moveaxis(x, axis, -1)
     v = np.concatenate((y[..., 0::2], y[..., 1::2][..., ::-1]), axis=-1)
     twiddle, weights = _dct_tables(n)
-    spec = fft(plan_fft(n), v)
+    spec = np.fft.fft(v, axis=-1)
     c = weights * np.real(twiddle * spec)
     return np.moveaxis(c, -1, axis)
 
@@ -228,7 +58,7 @@ def dct3(x, axis=-1):
     if n > 1:
         spec[..., 1:] = c[..., 1:] - 1j * c[..., :0:-1]
     spec *= np.conj(twiddle)
-    v = np.real(ifft(plan_fft(n), spec))
+    v = np.real(np.fft.ifft(spec, axis=-1))
     out = np.empty_like(y)
     half = (n + 1) // 2
     out[..., 0::2] = v[..., :half]
@@ -249,7 +79,6 @@ class RosOperator:
     num_mixes: int
     signs: np.ndarray
     presort: np.ndarray | None = None
-    transform: str = "dct"
 
 
 def ros_sample(n, num_mixes, rng):

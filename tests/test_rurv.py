@@ -105,13 +105,6 @@ def test_rurv_ros_presort_orders_columns():
     assert np.all(norms[:-1] >= norms[1:] * (1 - 1e-14))
 
 
-def test_rurv_ros_no_presort():
-    a = random_matrix(6, 6, seed=11)
-    fac = rurv_ros(a, rng=12, presort=False)
-    assert fac.v.presort is None
-    assert_allclose(urv_reconstruct(fac), a, atol=1e-13)
-
-
 def test_partial_matches_full_prefix_bit_for_bit():
     a = random_matrix(14, 10, seed=13)
     full = rurv_ros(a, rng=14)

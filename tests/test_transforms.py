@@ -1,4 +1,4 @@
-"""FFT/DCT kernels and the random orthogonal system operator."""
+"""DCT kernels and the random orthogonal system operator."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,14 @@ from mixfactor import (
     column_norm_stats,
     dct2,
     dct3,
-    fft,
-    ifft,
-    plan_fft,
     ros_apply,
     ros_dense,
     ros_sample,
 )
 
 CRITERION_LENGTHS = list(range(1, 33)) + [100, 250, 257, 1024]
+# the benchmark's smooth, prime and wide lengths
+LARGE_LENGTHS = [1000, 1009, 1500]
 
 
 def dct2_oracle(x):
@@ -34,62 +33,16 @@ def dct2_oracle(x):
 
 
 # ---------------------------------------------------------------------------
-# FFT
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 31, 100, 257, 1024])
-def test_fft_matches_reference(n):
-    x = np.random.default_rng(n).standard_normal(n)
-    plan = plan_fft(n)
-    assert_allclose(fft(plan, x), np.fft.fft(x),
-                    atol=1e-12 * max(np.linalg.norm(x), 1.0))
-
-
-def test_ifft_inverts():
-    x = np.random.default_rng(0).standard_normal(300)
-    plan = plan_fft(300)
-    assert_allclose(ifft(plan, fft(plan, x)), x, atol=1e-12)
-
-
-def test_fft_batched_leading_axes():
-    x = np.random.default_rng(1).standard_normal((3, 5, 16))
-    plan = plan_fft(16)
-    out = fft(plan, x)
-    for i in range(3):
-        for j in range(5):
-            assert_allclose(out[i, j], np.fft.fft(x[i, j]), atol=1e-12)
-
-
-def test_plan_cache_returns_same_object():
-    assert plan_fft(48) is plan_fft(48)
-
-
-def test_plan_strategy_selection():
-    assert plan_fft(64).strategy == "radix-2"
-    assert plan_fft(1500).strategy == "split"  # 2^2 * 3 * 5^3
-    assert plan_fft(61).strategy == "direct"  # prime, small enough for a matmul
-    assert plan_fft(257).strategy == "bluestein"  # prime, too large
-
-
-@pytest.mark.parametrize("n", [384, 1500, 3000, 5003])
-def test_fft_large_lengths(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ref = np.fft.fft(x)
-    assert_allclose(fft(plan_fft(n), x), ref, atol=1e-12 * np.linalg.norm(ref))
-
-
-# ---------------------------------------------------------------------------
 # DCT
 
 
-@pytest.mark.parametrize("n", CRITERION_LENGTHS)
+@pytest.mark.parametrize("n", CRITERION_LENGTHS + LARGE_LENGTHS)
 def test_dct2_matches_cosine_sum(n):
     x = np.random.default_rng(n + 1000).standard_normal(n)
     assert_allclose(dct2(x), dct2_oracle(x), atol=1e-12 * np.linalg.norm(x))
 
 
-@pytest.mark.parametrize("n", CRITERION_LENGTHS)
+@pytest.mark.parametrize("n", CRITERION_LENGTHS + LARGE_LENGTHS)
 def test_dct3_inverts_dct2(n):
     x = np.random.default_rng(n + 2000).standard_normal(n)
     assert_allclose(dct3(dct2(x)), x, atol=1e-13 * np.linalg.norm(x))
@@ -118,6 +71,11 @@ def test_dct_along_chosen_axis():
     out = dct2(x, axis=0)
     for j in range(6):
         assert_allclose(out[:, j], dct2(x[:, j]), atol=1e-13)
+    # a 2-D batch along axis 1, as ros_apply mixes columns
+    out = dct2(x, axis=1)
+    for i in range(4):
+        assert_allclose(out[i], dct2_oracle(x[i]), atol=1e-13)
+    assert_allclose(dct3(out, axis=1), x, atol=1e-13)
 
 
 @settings(deadline=None, max_examples=30)
