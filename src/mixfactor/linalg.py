@@ -19,6 +19,10 @@ _TINY = float(np.finfo(np.float64).tiny)
 # outer-product temporary stays cache-sized.  Every entry still sees the same
 # product and subtraction, so chunking leaves the results bit-identical.
 _UPDATE_CHUNK = 1 << 16
+# Reflectors are grouped into panels of this many columns and each panel is
+# applied at once in compact WY form (Schreiber and Van Loan 1989), as LAPACK's
+# dgeqrf/dlarft/dlarfb do.
+_PANEL = 64
 
 
 def as_matrix(a):
@@ -77,11 +81,11 @@ def _rank1_subtract(block, u, w):
         block[i : i + rows] -= np.outer(u[i : i + rows], w)
 
 
-def _reflect_column(packed, j):
+def _reflect_column(packed, j, stop):
     """Eliminate packed[j+1:, j] with a Householder reflector.
 
     Stores the reflector tail in packed[j+1:, j], the new R diagonal entry in
-    packed[j, j], applies the reflector to the trailing block, and returns
+    packed[j, j], applies the reflector to columns j+1 .. stop-1, and returns
     tau.  A column that is already triangular gets tau = 0 and is left alone.
     """
     alpha = packed[j, j]
@@ -94,7 +98,7 @@ def _reflect_column(packed, j):
     tau = (beta - alpha) / beta
     tail /= alpha - beta
     packed[j, j] = beta
-    rest = packed[j:, j + 1 :]
+    rest = packed[j:, j + 1 : stop]
     if rest.size:
         w = rest[0] + tail @ rest[1:]
         rest[0] -= tau * w
@@ -126,8 +130,19 @@ def house_qr(a, steps=None):
         raise ValueError(f"steps must lie in [1, {kmax}], got {steps}")
     packed = a.copy()
     taus = np.zeros(steps)
-    for j in range(steps):
-        taus[j] = _reflect_column(packed, j)
+    for j0 in range(0, steps, _PANEL):
+        # The panel keeps the width a full run gives it even when ``steps``
+        # ends inside it, and its missing reflectors are zero in V and T, so
+        # every product below has the same shape as in the full run.  BLAS
+        # rounds an entry differently when the shapes differ, and a partial
+        # run would then not be a bit-for-bit prefix of the full one.
+        j1 = min(j0 + _PANEL, n)
+        for j in range(j0, min(j1, steps)):
+            taus[j] = _reflect_column(packed, j, j1)
+        if j1 < n:
+            v, t = _compact_wy(packed, taus, j0, j1)
+            trailing = packed[j0:, j1:]
+            trailing -= v @ (t.T @ (v.T @ trailing))
     return HouseholderQR(packed=packed, taus=taus)
 
 
@@ -154,7 +169,7 @@ def house_qrcp(a):
             norms2[[j, piv]] = norms2[[piv, j]]
             ref2[[j, piv]] = ref2[[piv, j]]
             perm[[j, piv]] = perm[[piv, j]]
-        taus[j] = _reflect_column(packed, j)
+        taus[j] = _reflect_column(packed, j, n)
         if j + 1 < n:
             row = packed[j, j + 1 :]
             norms2[j + 1 :] -= row * row
@@ -183,8 +198,28 @@ def extract_r(f):
     return r
 
 
+def _compact_wy(packed, taus, j0, j1):
+    """V and T with H_j0 H_j0+1 ... H_j1-1 = I - V T V.T on rows j0 and below.
+
+    V holds the unit lower-trapezoidal reflectors stored in packed[j0:, j0:j1];
+    T is upper triangular (LAPACK's dlarft, forward and columnwise).  Steps
+    past len(taus) are zero reflectors: their columns of V and T are zero.
+    """
+    done = min(len(taus), j1) - j0
+    v = np.tril(packed[j0:, j0:j1], -1)
+    v[:, done:] = 0.0
+    v[np.arange(done), np.arange(done)] = 1.0
+    g = v.T @ v
+    t = np.zeros((j1 - j0, j1 - j0))
+    for i in range(done):
+        tau = taus[j0 + i]
+        t[:i, i] = -tau * (t[:i, :i] @ g[:i, i])
+        t[i, i] = tau
+    return v, t
+
+
 def _apply_reflectors(f, b, transpose):
-    packed, taus = f.packed, f.taus
+    packed, steps = f.packed, f.steps
     m = packed.shape[0]
     b = np.asarray(b, dtype=np.float64)
     vec = b.ndim == 1
@@ -193,25 +228,23 @@ def _apply_reflectors(f, b, transpose):
     if b.ndim != 2 or b.shape[0] != m:
         raise ValueError(f"operand has {b.shape[0]} rows, factorization has {m}")
     x = b.copy()
-    order = range(len(taus)) if transpose else range(len(taus) - 1, -1, -1)
-    for j in order:
-        tau = taus[j]
-        if tau == 0.0:
-            continue
-        tail = packed[j + 1 :, j]
-        w = x[j] + tail @ x[j + 1 :]
-        x[j] -= tau * w
-        _rank1_subtract(x[j + 1 :], tau * tail, w)
+    panels = range(0, steps, _PANEL)
+    # Q = H_0 H_1 ... H_steps-1: Q.T takes the panels first to last with T.T,
+    # Q takes them last to first with T.
+    for j0 in panels if transpose else reversed(panels):
+        v, t = _compact_wy(packed, f.taus, j0, min(j0 + _PANEL, steps))
+        rows = x[j0:]
+        rows -= v @ ((t.T if transpose else t) @ (v.T @ rows))
     return x[:, 0] if vec else x
 
 
 def apply_qt(f, b):
-    """Compute Q.T @ b by sequential reflector application (Q never formed)."""
+    """Compute Q.T @ b panel by panel in compact WY form (Q never formed)."""
     return _apply_reflectors(f, b, transpose=True)
 
 
 def apply_q(f, b):
-    """Compute Q @ b by sequential reflector application (Q never formed)."""
+    """Compute Q @ b panel by panel in compact WY form (Q never formed)."""
     return _apply_reflectors(f, b, transpose=False)
 
 
@@ -233,6 +266,24 @@ def _check_diagonal(diag):
         raise SingularMatrixError(int(np.flatnonzero(bad)[0]))
 
 
+def _substitute(t, b, lower):
+    """Solve T y = b by substitution, top down if ``lower``, else bottom up."""
+    t = np.asarray(t, dtype=np.float64)
+    n = t.shape[0]
+    if t.ndim != 2 or t.shape[1] != n:
+        name = "forward_substitute" if lower else "back_substitute"
+        raise ValueError(f"{name} needs a square matrix")
+    diag = np.diagonal(t)
+    _check_diagonal(diag)
+    y = np.array(b, dtype=np.float64, copy=True)
+    if y.shape[0] != n:
+        raise ValueError(f"right-hand side has {y.shape[0]} rows, expected {n}")
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        known = slice(0, i) if lower else slice(i + 1, n)
+        y[i] = (y[i] - t[i, known] @ y[known]) / diag[i]
+    return y
+
+
 def back_substitute(r, b):
     """Solve R y = b for upper-triangular R.
 
@@ -240,34 +291,12 @@ def back_substitute(r, b):
     SingularMatrixError (carrying the 0-based index) on a zero or subnormal
     diagonal entry.
     """
-    r = np.asarray(r, dtype=np.float64)
-    n = r.shape[0]
-    if r.ndim != 2 or r.shape[1] != n:
-        raise ValueError("back_substitute needs a square matrix")
-    diag = np.diagonal(r)
-    _check_diagonal(diag)
-    y = np.array(b, dtype=np.float64, copy=True)
-    if y.shape[0] != n:
-        raise ValueError(f"right-hand side has {y.shape[0]} rows, expected {n}")
-    for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - r[i, i + 1 :] @ y[i + 1 :]) / diag[i]
-    return y
+    return _substitute(r, b, lower=False)
 
 
 def forward_substitute(l, b):
     """Solve L y = b for lower-triangular L; mirror of back_substitute."""
-    l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    if l.ndim != 2 or l.shape[1] != n:
-        raise ValueError("forward_substitute needs a square matrix")
-    diag = np.diagonal(l)
-    _check_diagonal(diag)
-    y = np.array(b, dtype=np.float64, copy=True)
-    if y.shape[0] != n:
-        raise ValueError(f"right-hand side has {y.shape[0]} rows, expected {n}")
-    for i in range(n):
-        y[i] = (y[i] - l[i, :i] @ y[:i]) / diag[i]
-    return y
+    return _substitute(l, b, lower=True)
 
 
 def _round_robin_rounds(n_pad):

@@ -67,17 +67,69 @@ def test_partial_qr_matches_full_prefix():
     assert_array_equal(part.taus, full.taus[:3])
 
 
+@pytest.mark.parametrize("k", [65, 100, 127])
+def test_partial_qr_matches_full_prefix_past_one_panel(k):
+    # k ends inside the second or at the edge of the third 64-column panel
+    a = random_matrix(300, 200, seed=k)
+    full = house_qr(a)
+    part = house_qr(a, steps=k)
+    assert_array_equal(part.packed[:, :k], full.packed[:, :k])
+    assert_array_equal(part.taus, full.taus[:k])
+    assert_array_equal(extract_r(part)[:k], extract_r(full)[:k])
+
+
 def test_chunked_rank1_updates_are_bit_identical(monkeypatch):
-    # at 500 x 300 the default chunk splits each update into three row
+    # house_qrcp updates its whole trailing block one reflector at a time; at
+    # 500 x 300 the default chunk splits those updates into up to three row
     # chunks; one chunk per update is the plain whole-block formula
     a = random_matrix(500, 300, seed=9)
-    chunked = house_qr(a)
-    q_chunked = form_q(chunked)
+    chunked = house_qrcp(a)
     monkeypatch.setattr(linalg, "_UPDATE_CHUNK", a.size)
-    whole = house_qr(a)
+    whole = house_qrcp(a)
     assert_array_equal(chunked.packed, whole.packed)
     assert_array_equal(chunked.taus, whole.taus)
-    assert_array_equal(q_chunked, form_q(whole))
+    assert_array_equal(chunked.perm, whole.perm)
+
+
+PANEL_SHAPES = [(300, 200), (200, 300), (257, 257)]
+
+
+@pytest.mark.parametrize("m,n", PANEL_SHAPES)
+def test_house_qr_matches_lapack(m, n):
+    # LAPACK's geqrf uses the same reflector convention, so the packed
+    # factors agree entry for entry up to rounding
+    a = random_matrix(m, n, seed=m + n)
+    f = house_qr(a)
+    h, tau = np.linalg.qr(a, mode="raw")
+    assert np.linalg.norm(f.packed - h.T) <= 1e-13 * np.linalg.norm(h)
+    assert_allclose(f.taus, tau, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m,n", PANEL_SHAPES)
+def test_apply_roundtrip_past_one_panel(m, n):
+    f = house_qr(random_matrix(m, n, seed=m + n))
+    for b in (random_matrix(m, 1, seed=1)[:, 0], random_matrix(m, 5, seed=2)):
+        back = apply_q(f, apply_qt(f, b))
+        assert back.shape == b.shape
+        assert_allclose(back, b, atol=100 * m * EPS)
+
+
+@pytest.mark.parametrize("m,n", PANEL_SHAPES)
+def test_form_q_orthogonal_past_one_panel(m, n):
+    f = house_qr(random_matrix(m, n, seed=m + n))
+    k = min(m, n)
+    for shape, cols in (("full", m), ("thin", k)):
+        q = form_q(f, shape)
+        assert q.shape == (m, cols)
+        assert_allclose(q.T @ q, np.eye(cols), atol=100 * m * EPS)
+
+
+@pytest.mark.parametrize("m,n", PANEL_SHAPES)
+def test_apply_qt_of_partial_factorization(m, n):
+    # Q_k.T A is R in the first k rows and the unreduced trailing block below
+    a = random_matrix(m, n, seed=m + n)
+    f = house_qr(a, steps=100)
+    assert_allclose(apply_qt(f, a), extract_r(f), atol=100 * m * EPS * np.linalg.norm(a))
 
 
 def test_apply_qt_then_q_roundtrips():

@@ -114,6 +114,16 @@ def test_partial_matches_full_prefix_bit_for_bit():
     assert_array_equal(part.r[:4], full.r[:4])
 
 
+def test_partial_matches_full_prefix_past_one_panel():
+    # k = 100 ends inside the second 64-column panel
+    a = random_matrix(200, 300, seed=19)
+    full = rurv_ros(a, rng=20)
+    part = rurv_ros_partial(a, 100, rng=20)
+    assert_array_equal(part.u.packed[:, :100], full.u.packed[:, :100])
+    assert_array_equal(part.u.taus, full.u.taus[:100])
+    assert_array_equal(part.r[:100], full.r[:100])
+
+
 def test_partial_reconstructs_low_rank_exactly():
     left = random_matrix(18, 3, seed=15)
     right = random_matrix(3, 12, seed=16)
