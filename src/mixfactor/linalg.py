@@ -81,15 +81,16 @@ def _rank1_subtract(block, u, w):
         block[i : i + rows] -= np.outer(u[i : i + rows], w)
 
 
-def _reflect_column(packed, j, stop):
-    """Eliminate packed[j+1:, j] with a Householder reflector.
+def _householder(x):
+    """Turn the vector x into a Householder reflector in place; return tau.
 
-    Stores the reflector tail in packed[j+1:, j], the new R diagonal entry in
-    packed[j, j], applies the reflector to columns j+1 .. stop-1, and returns
-    tau.  A column that is already triangular gets tau = 0 and is left alone.
+    Afterwards x[0] holds beta, the entry the reflector leaves where x was,
+    and x[1:] holds the reflector's tail (its leading 1 is implicit), so that
+    (I - tau v v.T) x = beta e_1.  A vector whose tail is already zero gets
+    tau = 0 and is left alone.
     """
-    alpha = packed[j, j]
-    tail = packed[j + 1 :, j]
+    alpha = x[0]
+    tail = x[1:]
     tail_norm = np.linalg.norm(tail)
     if tail_norm == 0.0:
         return 0.0
@@ -97,12 +98,7 @@ def _reflect_column(packed, j, stop):
     beta = -np.copysign(np.hypot(alpha, tail_norm), alpha)
     tau = (beta - alpha) / beta
     tail /= alpha - beta
-    packed[j, j] = beta
-    rest = packed[j:, j + 1 : stop]
-    if rest.size:
-        w = rest[0] + tail @ rest[1:]
-        rest[0] -= tau * w
-        _rank1_subtract(rest[1:], tau * tail, w)
+    x[0] = beta
     return tau
 
 
@@ -138,7 +134,14 @@ def house_qr(a, steps=None):
         # run would then not be a bit-for-bit prefix of the full one.
         j1 = min(j0 + _PANEL, n)
         for j in range(j0, min(j1, steps)):
-            taus[j] = _reflect_column(packed, j, j1)
+            # reflect column j, then apply the reflector to the rest of the panel
+            taus[j] = tau = _householder(packed[j:, j])
+            rest = packed[j:, j + 1 : j1]
+            if tau and rest.size:
+                tail = packed[j + 1 :, j]
+                w = rest[0] + tail @ rest[1:]
+                rest[0] -= tau * w
+                _rank1_subtract(rest[1:], tau * tail, w)
         if j1 < n:
             v, t = _compact_wy(packed, taus, j0, j1)
             trailing = packed[j0:, j1:]
@@ -153,6 +156,17 @@ def house_qrcp(a):
     broken by the lowest original index.  Squared norms are downdated after
     each step and recomputed exactly once a downdated value has lost half of
     its bits against the last exactly computed reference.
+
+    The factorization is blocked as in LAPACK's dgeqp3/dlaqps (Quintana-Orti,
+    Sun and Bischof 1998).  Within a panel of up to _PANEL steps the trailing
+    block is left as it was, and the panel's reflectors V are accumulated
+    with F = A.T V T, so that the block after them is A - V F.T.  Each step
+    brings only its pivot column up to date, reflects it, updates only its
+    own row of R (from which the norms are downdated), and adds one column
+    to F.  One matrix product A -= V F.T then updates the trailing block.  A
+    norm that goes stale ends the panel early; it is recomputed from its
+    updated column before the next pivot is chosen, so in exact arithmetic
+    the pivots are the ones an unblocked factorization would choose.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -161,25 +175,49 @@ def house_qrcp(a):
     taus = np.zeros(kmax)
     perm = np.arange(n)
     norms2 = np.einsum("ij,ij->j", packed, packed)
-    ref2 = norms2.copy()
-    for j in range(kmax):
-        piv = j + int(np.argmax(norms2[j:]))
-        if piv != j:
-            packed[:, [j, piv]] = packed[:, [piv, j]]
-            norms2[[j, piv]] = norms2[[piv, j]]
-            ref2[[j, piv]] = ref2[[piv, j]]
-            perm[[j, piv]] = perm[[piv, j]]
-        taus[j] = _reflect_column(packed, j, n)
-        if j + 1 < n:
-            row = packed[j, j + 1 :]
-            norms2[j + 1 :] -= row * row
-            stale = norms2[j + 1 :] < _EPS * ref2[j + 1 :]
-            if np.any(stale):
-                cols = j + 1 + np.flatnonzero(stale)
-                block = packed[j + 1 :, cols]
-                fresh = np.einsum("ij,ij->j", block, block)
-                norms2[cols] = fresh
-                ref2[cols] = fresh
+    # a downdated squared norm below floor2 has lost half of its bits
+    floor2 = _EPS * norms2
+    j = 0
+    while j < kmax:
+        j0 = j
+        # ft[k] is column k of F, over columns j0 .. n-1 of A.
+        ft = np.zeros((min(_PANEL, kmax - j0), n - j0))
+        stale = None
+        while j < j0 + len(ft) and stale is None:
+            k = j - j0
+            piv = j + int(np.argmax(norms2[j:]))
+            if piv != j:
+                packed[:, [j, piv]] = packed[:, [piv, j]]
+                ft[:k, [k, piv - j0]] = ft[:k, [piv - j0, k]]
+                for vec in (norms2, floor2, perm):
+                    vec[j], vec[piv] = vec[piv], vec[j]
+            v = packed[j:, j]
+            if k:
+                v -= packed[j:, j0:j] @ ft[:k, k]
+            taus[j] = tau = _householder(v)
+            if j + 1 < n:
+                beta, v[0] = v[0], 1.0
+                if tau:
+                    # F[:, k] = tau (A.T v - F V.T v), A as the panel started;
+                    # w holds V.T v, then v.T v, then A.T v
+                    w = v @ packed[j:, j0:]
+                    fk = ft[k, k + 1 :]
+                    np.subtract(w[k + 1 :], w[:k] @ ft[:k, k + 1 :], out=fk)
+                    fk *= tau
+                row = packed[j, j + 1 :]
+                row -= packed[j, j0 : j + 1] @ ft[: k + 1, k + 1 :]
+                v[0] = beta
+                norms2[j + 1 :] -= row * row
+                lost = norms2[j + 1 :] < floor2[j + 1 :]
+                if np.any(lost):
+                    stale = j + 1 + np.flatnonzero(lost)
+            j += 1
+        if j < n:
+            packed[j:, j:] -= packed[j:, j0:j] @ ft[: j - j0, j - j0 :]
+        if stale is not None:
+            block = packed[j:, stale]
+            norms2[stale] = np.einsum("ij,ij->j", block, block)
+            floor2[stale] = _EPS * norms2[stale]
     return HouseholderQR(packed=packed, taus=taus, perm=perm)
 
 

@@ -200,10 +200,10 @@ def _draw_mixed_basis(a, rng, num_mixes):
     m = a.shape[0]
     best = None
     for draws in range(1, _MAX_DRAWS + 1):
-        v, mixed = _mix_and_sort(a, num_mixes, rng)
+        v, mixed, order = _mix_and_sort(a, num_mixes, rng)
         # only the leading m sorted columns are factored; the rest never
         # enter the triangular solve because their coefficients are zero
-        f = house_qr(mixed[:, :m])
+        f = house_qr(mixed[:, order[:m]])
         r = extract_r(f)[:m, :m]
         try:
             _check_full_rank(np.diagonal(r))

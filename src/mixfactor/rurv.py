@@ -97,11 +97,17 @@ def rurv_haar(a, rng=None):
 
 
 def _mix_and_sort(a, num_mixes, rng):
+    """Mix the columns of A; return (v, mixed, order).
+
+    ``order`` lists the mixed columns by decreasing 2-norm (stable) and is
+    also folded into v as its presort.  Callers gather the sorted columns
+    they factor, mixed[:, order] or a leading part of it.
+    """
     v = ros_sample(a.shape[1], num_mixes, rng)
     mixed = ros_apply(v, a, "right-transpose")
     norms = np.linalg.norm(mixed, axis=0)
     v.presort = np.argsort(-norms, kind="stable")
-    return v, mixed[:, v.presort]
+    return v, mixed, v.presort
 
 
 def rurv_ros(a, num_mixes=1, rng=None):
@@ -115,8 +121,8 @@ def rurv_ros(a, num_mixes=1, rng=None):
     a = as_matrix(a)
     m, n = a.shape
     rng = np.random.default_rng(rng)
-    v, mixed = _mix_and_sort(a, num_mixes, rng)
-    f = house_qr(mixed)
+    v, mixed, order = _mix_and_sort(a, num_mixes, rng)
+    f = house_qr(mixed[:, order])
     return UrvFactorization(u=f, r=extract_r(f), v=v, kind="ros", rank_used=min(m, n))
 
 
@@ -132,8 +138,8 @@ def rurv_ros_partial(a, k, num_mixes=1, rng=None):
     if not 1 <= k <= min(m, n):
         raise ValueError(f"target rank must lie in [1, {min(m, n)}], got {k}")
     rng = np.random.default_rng(rng)
-    v, mixed = _mix_and_sort(a, num_mixes, rng)
-    f = house_qr(mixed, steps=k)
+    v, mixed, order = _mix_and_sort(a, num_mixes, rng)
+    f = house_qr(mixed[:, order], steps=k)
     return UrvFactorization(u=f, r=extract_r(f), v=v, kind="ros", rank_used=k)
 
 

@@ -18,7 +18,7 @@ from mixfactor import (
     house_qrcp,
     jacobi_svd,
 )
-from mixfactor import linalg
+from mixfactor import gen_kahan, linalg
 
 EPS = np.finfo(np.float64).eps
 
@@ -79,16 +79,16 @@ def test_partial_qr_matches_full_prefix_past_one_panel(k):
 
 
 def test_chunked_rank1_updates_are_bit_identical(monkeypatch):
-    # house_qrcp updates its whole trailing block one reflector at a time; at
-    # 500 x 300 the default chunk splits those updates into up to three row
-    # chunks; one chunk per update is the plain whole-block formula
-    a = random_matrix(500, 300, seed=9)
-    chunked = house_qrcp(a)
+    # house_qr applies each reflector to the rest of its 64-column panel with
+    # rank-1 updates; at 1200 x 64 one chunk holds 1040 rows of 63 columns, so
+    # the first updates split into two row chunks; one chunk per update is the
+    # plain whole-block formula
+    a = random_matrix(1200, 64, seed=9)
+    chunked = house_qr(a)
     monkeypatch.setattr(linalg, "_UPDATE_CHUNK", a.size)
-    whole = house_qrcp(a)
+    whole = house_qr(a)
     assert_array_equal(chunked.packed, whole.packed)
     assert_array_equal(chunked.taus, whole.taus)
-    assert_array_equal(chunked.perm, whole.perm)
 
 
 PANEL_SHAPES = [(300, 200), (200, 300), (257, 257)]
@@ -200,6 +200,70 @@ def test_qrcp_diagonal_is_non_increasing():
 def test_qrcp_ties_take_lowest_index():
     f = house_qrcp(np.eye(5))
     assert_array_equal(f.perm, np.arange(5))
+
+
+def reference_qrcp_perm(a):
+    """Pivots of a QRCP that recomputes every trailing column norm exactly."""
+    r = a.copy()
+    m, n = r.shape
+    perm = np.arange(n)
+    for j in range(min(m, n)):
+        piv = j + int(np.argmax(np.linalg.norm(r[j:, j:], axis=0)))
+        r[:, [j, piv]] = r[:, [piv, j]]
+        perm[[j, piv]] = perm[[piv, j]]
+        v = r[j:, j].copy()
+        v[0] += np.copysign(np.linalg.norm(v), v[0])
+        vv = v @ v
+        if vv > 0.0:
+            r[j:, j:] -= np.outer(v, (2.0 / vv) * (v @ r[j:, j:]))
+    return perm
+
+
+def check_qrcp(a, f, steps):
+    """A[:, perm] = Q R, taus in [0, 2], |diag R| non-increasing over ``steps``."""
+    assert_allclose(form_q(f) @ extract_r(f), a[:, f.perm],
+                    atol=100 * max(a.shape) * EPS * np.linalg.norm(a))
+    assert np.all((f.taus >= 0.0) & (f.taus <= 2.0))
+    d = np.abs(np.diagonal(f.packed))[:steps]
+    assert np.all(d[1:] <= d[:-1] * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("m,n", PANEL_SHAPES)
+def test_qrcp_past_one_panel(m, n):
+    a = random_matrix(m, n, seed=2 * m + n)
+    f = house_qrcp(a)
+    assert_array_equal(f.perm, reference_qrcp_perm(a))
+    check_qrcp(a, f, min(m, n))
+
+
+def test_qrcp_ties_take_lowest_index_across_panels():
+    f = house_qrcp(np.eye(130))
+    assert_array_equal(f.perm, np.arange(130))
+
+
+def test_qrcp_stale_norms_end_a_panel_early():
+    # The first 30 pivots are scaled unit columns and need no reflection, so
+    # each step removes one integer entry of the top block from the other
+    # columns' squared norms, exactly.  After step 30 those norms are 0 in
+    # floating point while the columns still hold the 1e-10 bottom block:
+    # they go stale inside the first panel, which ends there, and are
+    # recomputed.  The bottom block's columns are scaled apart, so every
+    # later pivot is determined.
+    rng = np.random.default_rng(16)
+    a = np.zeros((120, 110))
+    a[:30, :30] = np.diag(2.0 ** np.arange(40, 10, -1))
+    a[:30, 30:] = rng.integers(1, 4, (30, 80)) * rng.choice([-1.0, 1.0], (30, 80))
+    a[30:, 30:] = 1e-10 * rng.standard_normal((90, 80)) * 0.9 ** rng.permutation(80)
+    f = house_qrcp(a)
+    assert_array_equal(f.perm, reference_qrcp_perm(a))
+    check_qrcp(a, f, 110)
+
+
+@pytest.mark.parametrize("m", [*range(20, 201, 20), 32, 48, 250])
+def test_qrcp_keeps_identity_on_kahan(m):
+    # criterion 08 (m = 20 .. 200) and the benchmark (32, 48, 250) rely on
+    # pivoting leaving the Kahan matrix alone
+    assert_array_equal(house_qrcp(gen_kahan(m)).perm, np.arange(m))
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,8 @@ def test_correlated_wide_system_all_methods_small_residual():
 def mixed_leading_triangle(m, seed):
     """R11 of a mixed, sorted Gaussian m x 1.5m block: what the redraw rule judges."""
     rng = np.random.default_rng(seed)
-    _, mixed = _mix_and_sort(rng.standard_normal((m, m + m // 2)), 1, rng)
-    return extract_r(house_qr(mixed[:, :m]))[:m, :m]
+    _, mixed, order = _mix_and_sort(rng.standard_normal((m, m + m // 2)), 1, rng)
+    return extract_r(house_qr(mixed[:, order[:m]]))[:m, :m]
 
 
 @pytest.mark.parametrize("m, seed", [(200, 30), (200, 31), (200, 32), (1000, 33), (1000, 34)])
