@@ -21,16 +21,9 @@ import time
 
 import numpy as np
 
-from .diagnostics import FIRST_FACTORIZATIONS, qlp, rr_conditions, rvalue_ratios
+from .diagnostics import FIRST_FACTORIZATIONS, _singular_values, qlp, rr_conditions, rvalue_ratios
 from .errors import NumericalError
-from .linalg import jacobi_svd
-from .lstsq import (
-    BASIC_METHODS,
-    OVERDETERMINED_METHODS,
-    solve_basic,
-    solve_min_norm,
-    solve_overdetermined,
-)
+from .lstsq import OVERDETERMINED_METHODS, SOLVERS
 from .matgen import (
     gen_condition,
     gen_correlated,
@@ -46,7 +39,7 @@ from .transforms import column_norm_stats, ros_apply, ros_sample
 FAMILIES = ("kahan", "gap", "devils-stairs", "correlated", "condition", "heavytail")
 EXPERIMENTS = ("mix-norms", "rr-scaling", "rvalues", "qlp", "ls-bench")
 FACTOR_METHODS = tuple(FIRST_FACTORIZATIONS) + ("rvlu-ros",)
-SOLVE_METHODS = OVERDETERMINED_METHODS + BASIC_METHODS + ("rvlu-minnorm",)
+SOLVE_METHODS = tuple(SOLVERS)
 
 
 def _fmt(value):
@@ -231,12 +224,7 @@ def cmd_solve(args):
         method = "qr-overdet" if a.shape[0] >= a.shape[1] else "rurv-ros-basic"
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
-    if method in OVERDETERMINED_METHODS:
-        sol = solve_overdetermined(a, b, method=method, rng=rng, num_mixes=args.mixes)
-    elif method in BASIC_METHODS:
-        sol = solve_basic(a, b, method=method, rng=rng, num_mixes=args.mixes)
-    else:
-        sol = solve_min_norm(a, b, rng=rng, num_mixes=args.mixes)
+    sol = SOLVERS[method](a, b, rng, args.mixes)
     elapsed = _elapsed_since(t0, args)
     config = {
         "subcommand": "solve",
@@ -290,7 +278,9 @@ def _family_sigma(a, sigma):
     """Reference spectrum: the prescribed one, else one-sided Jacobi."""
     if sigma is not None:
         return sigma
-    return jacobi_svd(a, want_vectors=False).sigma if a.shape[0] >= a.shape[1] else jacobi_svd(a.T, want_vectors=False).sigma
+    # _singular_values sweeps the rows of a square block; a square A is
+    # swept over its columns
+    return _singular_values(a.T)
 
 
 def _kahan_bound(m, c):
@@ -412,18 +402,11 @@ def _exp_ls_bench(args, root):
             b_tall = b_rng.standard_normal(n)
             for method in SOLVE_METHODS:
                 solve_rng = root.spawn(1)[0]
+                a, b = (tall, b_tall) if method in OVERDETERMINED_METHODS else (wide, b_wide)
                 t0 = time.perf_counter()
-                if method in OVERDETERMINED_METHODS:
-                    sol = solve_overdetermined(tall, b_tall, method=method,
-                                               rng=solve_rng, num_mixes=args.mixes)
-                elif method in BASIC_METHODS:
-                    sol = solve_basic(wide, b_wide, method=method,
-                                      rng=solve_rng, num_mixes=args.mixes)
-                else:
-                    sol = solve_min_norm(wide, b_wide, rng=solve_rng, num_mixes=args.mixes)
+                sol = SOLVERS[method](a, b, solve_rng, args.mixes)
                 elapsed = _elapsed_since(t0, args)
-                shape = (n, m) if method in OVERDETERMINED_METHODS else (m, n)
-                rows.append([shape[0], shape[1], method, i, 0,
+                rows.append([a.shape[0], a.shape[1], method, i, 0,
                              sol.residual_norm, sol.solution_norm, elapsed])
                 per_method.setdefault(method, []).append(
                     (sol.residual_norm, sol.solution_norm, elapsed))
@@ -466,6 +449,13 @@ def _u64(text):
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+    return value
+
+
+def _positive(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("reps must be a positive integer")
     return value
 
 
@@ -544,7 +534,7 @@ def _build_parser():
     _add_family_flags(p_exp)
     p_exp.add_argument("--sizes", default="100:300:100",
                        help="size sweep, 'lo:hi[:step]' or comma list (default: 100:300:100)")
-    p_exp.add_argument("--reps", type=int, default=5,
+    p_exp.add_argument("--reps", type=_positive, default=5,
                        help="instantiations per configuration (default: 5)")
     p_exp.add_argument("--first", choices=FIRST_FACTORIZATIONS, default="rurv-ros",
                        help="first pass for the qlp experiment (default: rurv-ros)")

@@ -69,45 +69,34 @@ class QlpReport:
     first_factorization: str
 
 
-def _spectral_norm(x, tol=1e-10, max_iter=1000):
-    """2-norm of a small dense block by power iteration on X.T X."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return 0.0
-    col_norms = np.linalg.norm(x, axis=0)
-    if not np.any(col_norms > 0.0):
-        return 0.0
-    # start on the largest column: its image is nonzero, so the iteration
-    # cannot stall at zero
-    v = np.zeros(x.shape[1])
-    v[int(np.argmax(col_norms))] = 1.0
+def _spectral_norm(apply, apply_t, v, tol=1e-10, max_iter=1000):
+    """2-norm of the operator ``apply`` by power iteration on apply_t(apply(.)).
+
+    v is the unit start vector.  The estimate is 0 once an iterate's image
+    is exactly zero.
+    """
     estimate = 0.0
     for _ in range(max_iter):
-        w = x @ v
+        w = apply(v)
         previous, estimate = estimate, float(np.linalg.norm(w))
         if estimate == 0.0:
             return 0.0
         if abs(estimate - previous) <= tol * estimate:
             break
-        v = x.T @ w
+        v = apply_t(w)
         v /= np.linalg.norm(v)
     return estimate
 
 
-def _inverse_spectral_norm(y, tol=1e-10, max_iter=1000):
-    """||Y^-1||_2 for unit lower-triangular Y, via solves instead of inversion."""
-    n = y.shape[0]
-    yt = y.T.copy()
-    v = np.full(n, 1.0 / np.sqrt(n))
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = forward_substitute(y, v)
-        previous, estimate = estimate, float(np.linalg.norm(w))
-        if abs(estimate - previous) <= tol * estimate:
-            break
-        v = back_substitute(yt, w)
-        v /= np.linalg.norm(v)
-    return estimate
+def _dense_spectral_norm(x):
+    """2-norm of a dense block, started on its largest column.
+
+    That column's image is nonzero unless the whole block is zero, so the
+    iteration cannot stall at zero.
+    """
+    v = np.zeros(x.shape[1])
+    v[int(np.argmax(np.linalg.norm(x, axis=0)))] = 1.0
+    return _spectral_norm(lambda u: x @ u, lambda w: x.T @ w, v)
 
 
 def _singular_values(block):
@@ -141,7 +130,7 @@ def rr_conditions(sigma_a, r, k):
         ratios_22 = sigma_22 / sigma_a[k : k + sigma_22.size]
     try:
         solved = back_substitute(r[:k, :k], r[:k, k:])
-        strong = _spectral_norm(solved)
+        strong = _dense_spectral_norm(solved)
     except SingularMatrixError:
         strong = float("inf")
     return RankRevealReport(
@@ -183,8 +172,11 @@ def rvalue_ratios(r, sigma):
         lower = 1.0 / sigma_y[0] if sigma_y[0] > 0.0 else float("inf")
         upper = 1.0 / sigma_y[-1] if sigma_y[-1] > 0.0 else float("inf")
     else:
-        lower = 1.0 / _spectral_norm(y)
-        upper = _inverse_spectral_norm(y)
+        lower = 1.0 / _dense_spectral_norm(y)
+        # ||Y^-1|| by solves with the unit triangle instead of inversion
+        yt = y.T.copy()
+        start = np.full(n, 1.0 / np.sqrt(n))
+        upper = _spectral_norm(lambda u: forward_substitute(y, u), lambda w: back_substitute(yt, w), start)
     return RvalueReport(
         ratios=ratios,
         min=float(np.min(ratios)),

@@ -15,10 +15,6 @@ from .errors import ConvergenceError, SingularMatrixError
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-# Rank-1 updates are applied in row chunks of about this many entries, so the
-# outer-product temporary stays cache-sized.  Every entry still sees the same
-# product and subtraction, so chunking leaves the results bit-identical.
-_UPDATE_CHUNK = 1 << 16
 # Reflectors are grouped into panels of this many columns and each panel is
 # applied at once in compact WY form (Schreiber and Van Loan 1989), as LAPACK's
 # dgeqrf/dlarft/dlarfb do.
@@ -72,13 +68,6 @@ class SvdResult:
     sigma: np.ndarray
     u: np.ndarray | None = None
     v: np.ndarray | None = None
-
-
-def _rank1_subtract(block, u, w):
-    """block -= outer(u, w), one cache-sized chunk of rows at a time."""
-    rows = max(1, _UPDATE_CHUNK // max(w.size, 1))
-    for i in range(0, u.size, rows):
-        block[i : i + rows] -= np.outer(u[i : i + rows], w)
 
 
 def _householder(x):
@@ -141,7 +130,7 @@ def house_qr(a, steps=None):
                 tail = packed[j + 1 :, j]
                 w = rest[0] + tail @ rest[1:]
                 rest[0] -= tau * w
-                _rank1_subtract(rest[1:], tau * tail, w)
+                rest[1:] -= np.outer(tau * tail, w)
         if j1 < n:
             v, t = _compact_wy(packed, taus, j0, j1)
             trailing = packed[j0:, j1:]

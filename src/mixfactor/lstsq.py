@@ -298,3 +298,16 @@ def solve_min_norm(a, b, rng=None, num_mixes=1):
     padded[:m] = z
     x = apply_q(fac.u, padded)
     return _finish(a, b, x, "rvlu-minnorm")
+
+
+def _fixed_method(solve, method):
+    return lambda a, b, rng, num_mixes: solve(a, b, method, rng, num_mixes)
+
+
+# name -> f(a, b, rng, num_mixes) returning an LsSolution; the order is the
+# order of CLI choices and of experiment rows
+SOLVERS = {
+    **{name: _fixed_method(solve_overdetermined, name) for name in OVERDETERMINED_METHODS},
+    **{name: _fixed_method(solve_basic, name) for name in BASIC_METHODS},
+    "rvlu-minnorm": solve_min_norm,
+}

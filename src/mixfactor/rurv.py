@@ -118,20 +118,16 @@ def rurv_ros(a, num_mixes=1, rng=None):
     sorted matrix is factored by unpivoted QR.  The sorting permutation is
     folded into the returned operator, so U @ R @ V reproduces A.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    rng = np.random.default_rng(rng)
-    v, mixed, order = _mix_and_sort(a, num_mixes, rng)
-    f = house_qr(mixed[:, order])
-    return UrvFactorization(u=f, r=extract_r(f), v=v, kind="ros", rank_used=min(m, n))
+    # rurv_ros_partial validates A; default=0 lets a scalar reach that check
+    return rurv_ros_partial(a, min(np.shape(a), default=0), num_mixes, rng)
 
 
 def rurv_ros_partial(a, k, num_mixes=1, rng=None):
     """Rank-k partial RURV: identical mixing, only k elimination steps.
 
-    With k = min(m, n) the result is bit-identical to rurv_ros for the same
-    seed.  Rows of ``r`` past the first k hold the unreduced trailing block
-    rather than zeros.
+    With k = min(m, n) this is rurv_ros by construction: rurv_ros calls it
+    with that k.  Rows of ``r`` past the first k hold the unreduced trailing
+    block rather than zeros.
     """
     a = as_matrix(a)
     m, n = a.shape

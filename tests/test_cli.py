@@ -275,6 +275,16 @@ def test_exp_unknown_name_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+def test_exp_nonpositive_reps_is_usage_error(capsys):
+    for argv in (["ls-bench", "--sizes", "20"], ["mix-norms"], ["rr-scaling"]):
+        for reps in ("0", "-1"):
+            with pytest.raises(SystemExit) as info:
+                run_cli("exp", *argv, "--reps", reps)
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:") and "--reps" in err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

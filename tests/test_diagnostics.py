@@ -51,6 +51,15 @@ def test_rr_conditions_detects_hidden_rank():
     assert report_plain.max_ratio_r11 >= report_mixed.max_ratio_r11 * 0.1
 
 
+@pytest.mark.parametrize("backend", ["qrcp", "rurv-ros"])
+def test_rr_conditions_strong_norm_value(backend):
+    g = gen_gap(64, 32, rng=4)
+    r = extract_r(house_qrcp(g.a)) if backend == "qrcp" else rurv_ros(g.a, rng=5).r
+    report = rr_conditions(g.sigma, r, k=32)
+    expected = np.linalg.norm(np.linalg.solve(r[:32, :32], r[:32, 32:]), 2)
+    assert_allclose(report.strong_norm, expected, rtol=1e-8)
+
+
 def test_rr_conditions_singular_leading_block():
     r = np.array([[0.0, 1.0], [0.0, 1.0]])
     report = rr_conditions(np.array([2.0, 0.5]), r, k=1)
@@ -93,6 +102,18 @@ def test_rvalue_ratios_pivoted_factor_within_bounds():
     report = rvalue_ratios(r, sigma)
     assert report.min >= report.lower_bound * (1 - 1e-10)
     assert report.max <= report.upper_bound * (1 + 1e-10)
+
+
+def test_rvalue_ratios_power_iteration_bounds_past_order_512():
+    # past order 512 the enclosure comes from power iteration, not Jacobi
+    g = gen_gap(600, 300, 1e-10, rng=31)
+    r = extract_r(house_qrcp(g.a))
+    report = rvalue_ratios(r, g.sigma)
+    sigma_y = np.linalg.svd((r / np.diagonal(r)[:, None]).T, compute_uv=False)
+    assert_allclose(report.lower_bound, 1.0 / sigma_y[0], rtol=1e-8)
+    assert_allclose(report.upper_bound, 1.0 / sigma_y[-1], rtol=1e-8)
+    assert report.lower_bound <= report.min
+    assert report.max <= report.upper_bound
 
 
 def test_rvalue_ratios_rejects_zero_diagonal():

@@ -18,7 +18,7 @@ from mixfactor import (
     house_qrcp,
     jacobi_svd,
 )
-from mixfactor import gen_kahan, linalg
+from mixfactor import gen_kahan
 
 EPS = np.finfo(np.float64).eps
 
@@ -76,19 +76,6 @@ def test_partial_qr_matches_full_prefix_past_one_panel(k):
     assert_array_equal(part.packed[:, :k], full.packed[:, :k])
     assert_array_equal(part.taus, full.taus[:k])
     assert_array_equal(extract_r(part)[:k], extract_r(full)[:k])
-
-
-def test_chunked_rank1_updates_are_bit_identical(monkeypatch):
-    # house_qr applies each reflector to the rest of its 64-column panel with
-    # rank-1 updates; at 1200 x 64 one chunk holds 1040 rows of 63 columns, so
-    # the first updates split into two row chunks; one chunk per update is the
-    # plain whole-block formula
-    a = random_matrix(1200, 64, seed=9)
-    chunked = house_qr(a)
-    monkeypatch.setattr(linalg, "_UPDATE_CHUNK", a.size)
-    whole = house_qr(a)
-    assert_array_equal(chunked.packed, whole.packed)
-    assert_array_equal(chunked.taus, whole.taus)
 
 
 PANEL_SHAPES = [(300, 200), (200, 300), (257, 257)]

@@ -16,8 +16,8 @@ from mixfactor import (
     solve_min_norm,
     solve_overdetermined,
 )
-from mixfactor import lstsq
-from mixfactor.lstsq import _basic_solver, _cond2_estimate
+from mixfactor import cli, lstsq
+from mixfactor.lstsq import SOLVERS, _basic_solver, _cond2_estimate
 from mixfactor.rurv import _mix_and_sort
 
 
@@ -285,3 +285,31 @@ def test_ros_basic_row_rank_deficient_raises_after_every_draw(monkeypatch):
         solve_basic(a, rng.standard_normal(12), method="rurv-ros-basic", rng=48)
     assert info.value.index == 3
     assert len(draws) == 3
+
+
+# ---------------------------------------------------------------------------
+# solver map
+
+
+def test_solvers_keys_are_the_cli_choices_in_order():
+    parser = cli._build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "subcommand")
+    method = next(a for a in subcommands.choices["solve"]._actions if a.dest == "method")
+    assert tuple(SOLVERS) == tuple(method.choices)
+    assert tuple(SOLVERS) == OVERDETERMINED_METHODS + BASIC_METHODS + ("rvlu-minnorm",)
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_solvers_entry_equals_direct_call(method):
+    if method in OVERDETERMINED_METHODS:
+        a, b = random_system(18, 12, seed=49)
+        direct = solve_overdetermined(a, b, method=method, rng=50, num_mixes=2)
+    else:
+        a, b = random_system(12, 18, seed=51)
+        if method in BASIC_METHODS:
+            direct = solve_basic(a, b, method=method, rng=50, num_mixes=2)
+        else:
+            direct = solve_min_norm(a, b, rng=50, num_mixes=2)
+    mapped = SOLVERS[method](a, b, 50, 2)
+    assert mapped.method == method
+    assert np.array_equal(mapped.x, direct.x)
