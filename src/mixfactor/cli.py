@@ -37,7 +37,6 @@ from .rurv import haar_sample, rurv_ros_partial, rvlu_ros
 from .transforms import column_norm_stats, ros_apply, ros_sample
 
 FAMILIES = ("kahan", "gap", "devils-stairs", "correlated", "condition", "heavytail")
-EXPERIMENTS = ("mix-norms", "rr-scaling", "rvalues", "qlp", "ls-bench")
 FACTOR_METHODS = tuple(FIRST_FACTORIZATIONS) + ("rvlu-ros",)
 SOLVE_METHODS = tuple(SOLVERS)
 
@@ -106,19 +105,15 @@ def _elapsed_since(t0, args):
 
 def _build_matrix(family, m, n, args, rng):
     """Instantiate one family member; returns (matrix, sigma-or-None)."""
+    if family in ("kahan", "gap", "devils-stairs") and m != n:
+        raise ValueError(f"the {family} family is square; drop --n or set it to --m")
     if family == "kahan":
-        if m != n:
-            raise ValueError("the kahan family is square; drop --n or set it to --m")
         return gen_kahan(m, args.c, args.tau), None
     if family == "gap":
-        if m != n:
-            raise ValueError("the gap family is square; drop --n or set it to --m")
         k = args.k if args.k is not None else m // 2
         g = gen_gap(m, k, args.gap, rng, args.rho)
         return g.a, g.sigma
     if family == "devils-stairs":
-        if m != n:
-            raise ValueError("the devils-stairs family is square; drop --n or set it to --m")
         g = gen_devils_stairs(m, args.stair_len, args.jump, rng)
         return g.a, g.sigma
     if family == "correlated":
@@ -164,10 +159,7 @@ def cmd_gen(args):
         f" {line}" for line in _config_lines(config)
     ]
     if fmt == "mm":
-        if args.out == "-":
-            write_matrix(sys.stdout, a, comments)
-        else:
-            write_matrix(args.out, a, comments)
+        write_matrix(sys.stdout if args.out == "-" else args.out, a, comments)
     else:
         lines = [f"#{c}" for c in comments]
         lines.extend(",".join("%.17g" % v for v in row) for row in a)
@@ -276,11 +268,7 @@ def _exp_mix_norms(args, root):
 
 def _family_sigma(a, sigma):
     """Reference spectrum: the prescribed one, else one-sided Jacobi."""
-    if sigma is not None:
-        return sigma
-    # _singular_values sweeps the rows of a square block; a square A is
-    # swept over its columns
-    return _singular_values(a.T)
+    return sigma if sigma is not None else _singular_values(a)
 
 
 def _kahan_bound(m, c):
@@ -291,6 +279,8 @@ def _kahan_bound(m, c):
 def _exp_rr_scaling(args, root):
     """Rank-revealing ratios across sizes: pivoting vs mixing backends."""
     sizes = _parse_sizes(args.sizes)
+    if min(sizes) < 2:
+        raise ValueError(f"rr-scaling needs --sizes of at least 2, got {args.sizes!r}")
     header = [
         "family", "m", "backend", "instantiation", "agg", "split",
         "max_ratio_r11", "max_ratio_r22", "strong_norm", "bound",
@@ -310,29 +300,24 @@ def _exp_rr_scaling(args, root):
             for _ in range(args.reps):
                 a, sigma = _build_matrix(args.family, m, m, args, root.spawn(1)[0])
                 mats.append((a, _family_sigma(a, sigma)))
-        collected = {name: [] for name in ("qrcp", "rurv-haar", "rurv-ros")}
-        for i, (a, sigma_ref) in enumerate(mats):
-            report = rr_conditions(sigma_ref, FIRST_FACTORIZATIONS["qrcp"](a, args.mixes, None), k)
-            collected["qrcp"].append(report)
-            rows.append([args.family, m, "qrcp", i, 0, k,
-                         report.max_ratio_r11, report.max_ratio_r22,
-                         report.strong_norm, bound])
-        for backend in ("rurv-haar", "rurv-ros"):
-            for i in range(args.reps):
+        # qrcp draws nothing and runs once per matrix; each mixing backend
+        # runs once per instantiation on its own stream
+        aggregates = []
+        for backend in ("qrcp", "rurv-haar", "rurv-ros"):
+            reports = []
+            for i in range(len(mats) if backend == "qrcp" else args.reps):
                 a, sigma_ref = mats[i % len(mats)]
-                mix_rng = root.spawn(1)[0]
-                r = FIRST_FACTORIZATIONS[backend](a, args.mixes, mix_rng)
-                report = rr_conditions(sigma_ref, r, k)
-                collected[backend].append(report)
+                rng = None if backend == "qrcp" else root.spawn(1)[0]
+                report = rr_conditions(sigma_ref, FIRST_FACTORIZATIONS[backend](a, args.mixes, rng), k)
+                reports.append(report)
                 rows.append([args.family, m, backend, i, 0, k,
                              report.max_ratio_r11, report.max_ratio_r22,
                              report.strong_norm, bound])
-        for backend in ("qrcp", "rurv-haar", "rurv-ros"):
-            reports = collected[backend]
-            rows.append([args.family, m, backend, "-", 1, k,
-                         max(r.max_ratio_r11 for r in reports),
-                         max(r.max_ratio_r22 for r in reports),
-                         max(r.strong_norm for r in reports), bound])
+            aggregates.append([args.family, m, backend, "-", 1, k,
+                               max(r.max_ratio_r11 for r in reports),
+                               max(r.max_ratio_r22 for r in reports),
+                               max(r.strong_norm for r in reports), bound])
+        rows.extend(aggregates)
     config = {"family": args.family, "sizes": ",".join(str(s) for s in sizes), "reps": args.reps}
     return config, header, rows
 
@@ -455,7 +440,7 @@ def _u64(text):
 def _positive(text):
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("reps must be a positive integer")
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
@@ -490,7 +475,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_u64, default=0,
                         help="RNG seed, unsigned 64-bit (default: 0)")
-    common.add_argument("--mixes", type=int, default=1,
+    common.add_argument("--mixes", type=_positive, default=1,
                         help="number of mixing passes N (default: 1)")
     common.add_argument("--out", default="-",
                         help="output path, '-' for stdout (default: '-')")
@@ -530,7 +515,7 @@ def _build_parser():
     p_solve.set_defaults(func=cmd_solve)
 
     p_exp = sub.add_parser("exp", parents=[common], help="run a named experiment")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
+    p_exp.add_argument("name", choices=_EXP_FUNCS)
     _add_family_flags(p_exp)
     p_exp.add_argument("--sizes", default="100:300:100",
                        help="size sweep, 'lo:hi[:step]' or comma list (default: 100:300:100)")

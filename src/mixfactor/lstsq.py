@@ -151,30 +151,20 @@ def solve_overdetermined(a, b, method="qr-overdet", rng=None, num_mixes=1):
     if m < n:
         raise ValueError(f"solve_overdetermined needs m >= n, got {a.shape}")
     b = _as_rhs(b, m)
-    if method == "qr-overdet":
-        f = house_qr(a)
-        v = None
-    elif method == "rurv-ros-overdet":
-        fac = rurv_ros(a, num_mixes, rng)
-        f = fac.u
-        v = fac.v
-    else:
+    if method not in OVERDETERMINED_METHODS:
         raise ValueError(f"method must be one of {OVERDETERMINED_METHODS}, got {method!r}")
-    r = extract_r(f)[:n, :n]
-    _check_full_rank(np.diagonal(r))
-    y = back_substitute(r, apply_qt(f, b)[:n])
-    x = y if v is None else mix_apply(v, y, "left-transpose")
+    _, x = _basis(a, method, rng, num_mixes)(b)
     return _finish(a, b, x, method)
 
 
 @dataclass
-class _BasicSolver:
-    """A factored basis of m columns, reusable for refinement passes.
+class _Basis:
+    """A factored basis of k = min(m, n) columns, reusable for refinement passes.
 
     Calling it with a right-hand side returns (y, x): y is the coefficient
-    vector in the factored basis, whose trailing n - m entries are exact
-    zeros by construction, and x = to_x(y) is the solution in the original
-    coordinates.
+    vector in the factored basis, whose trailing n - k entries (none when
+    m >= n) are exact zeros by construction, and x = to_x(y) is the
+    solution in the original coordinates.
     """
 
     f: HouseholderQR
@@ -185,9 +175,9 @@ class _BasicSolver:
     cond_estimate: float | None = None
 
     def __call__(self, rhs):
-        m = self.r.shape[0]
-        y1 = back_substitute(self.r, apply_qt(self.f, rhs)[:m])
-        y = np.concatenate((y1, np.zeros(self.n - m)))
+        k = self.r.shape[0]
+        y1 = back_substitute(self.r, apply_qt(self.f, rhs)[:k])
+        y = np.concatenate((y1, np.zeros(self.n - k)))
         return y, self.to_x(y)
 
 
@@ -222,16 +212,28 @@ def _draw_mixed_basis(a, rng, num_mixes):
     return v, f, r, draws, cond
 
 
-def _basic_solver(a, method, rng, num_mixes):
-    """Factor once and return a _BasicSolver for the basic solution."""
+def _basis(a, method, rng, num_mixes):
+    """Factor once and return the _Basis that ``method`` solves with.
+
+    method is one of OVERDETERMINED_METHODS or BASIC_METHODS; each public
+    solver checks that it got one of its own.
+    """
     m, n = a.shape
+    k = min(m, n)
+    rng = np.random.default_rng(rng)
     if method == "rurv-ros-basic":
         v, f, r, draws, cond = _draw_mixed_basis(a, rng, num_mixes)
-        return _BasicSolver(f, r, n, lambda y: mix_apply(v, y, "left-transpose"), draws, cond)
-    if method == "qr-basic":
-        # no mixing at all: factor the leading m columns as they stand
-        f = house_qr(a[:, :m])
+        return _Basis(f, r, n, lambda y: mix_apply(v, y, "left-transpose"), draws, cond)
+    if method in ("qr-overdet", "qr-basic"):
+        # no mixing at all: factor the leading k columns as they stand
+        f = house_qr(a[:, :k])
         to_x = np.copy
+    elif method == "rurv-ros-overdet":
+        # a tall mix keeps every column, so cond(R) = cond(A) for every
+        # draw and a redraw cannot help: no condition check here
+        fac = rurv_ros(a, num_mixes, rng)
+        f = fac.u
+        to_x = lambda y: mix_apply(fac.v, y, "left-transpose")
     elif method == "qrcp":
         f = house_qrcp(a)
 
@@ -242,13 +244,11 @@ def _basic_solver(a, method, rng, num_mixes):
 
     elif method == "rurv-haar-basic":
         v = haar_sample(n, rng)
-        f = house_qr((a @ v.T)[:, :m])
+        f = house_qr((a @ v.T)[:, :k])
         to_x = lambda y: v.T @ y
-    else:
-        raise ValueError(f"method must be one of {BASIC_METHODS}, got {method!r}")
-    r = extract_r(f)[:m, :m]
+    r = extract_r(f)[:k, :k]
     _check_full_rank(np.diagonal(r))
-    return _BasicSolver(f, r, n, to_x)
+    return _Basis(f, r, n, to_x)
 
 
 def solve_basic(a, b, method="rurv-ros-basic", rng=None, num_mixes=1):
@@ -270,9 +270,10 @@ def solve_basic(a, b, method="rurv-ros-basic", rng=None, num_mixes=1):
     m, n = a.shape
     if m >= n:
         raise ValueError(f"solve_basic needs m < n, got {a.shape}")
-    rng = np.random.default_rng(rng)
     b = _as_rhs(b, m)
-    solve = _basic_solver(a, method, rng, num_mixes)
+    if method not in BASIC_METHODS:
+        raise ValueError(f"method must be one of {BASIC_METHODS}, got {method!r}")
+    solve = _basis(a, method, rng, num_mixes)
     _, x = solve(b)
     _, dx = solve(b - a @ x)
     return _finish(a, b, x + dx, method, solve.draws, solve.cond_estimate)

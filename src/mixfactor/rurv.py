@@ -18,20 +18,17 @@ from .transforms import RosOperator, ros_apply, ros_sample
 class UrvFactorization:
     """A = U R V.
 
-    u         : packed Householder factorization whose Q is U
-    r         : full-height (m, n) triangular factor; after a partial
-                factorization rows >= rank_used still hold the unreduced
-                trailing block
-    v         : dense orthogonal matrix or RosOperator
-    kind      : "haar" or "ros"
-    rank_used : number of elimination steps performed
+    u : packed Householder factorization whose Q is U; u.steps is the
+        number of elimination steps performed
+    r : full-height (m, n) triangular factor; after a partial
+        factorization rows >= u.steps still hold the unreduced trailing
+        block
+    v : dense orthogonal matrix or RosOperator
     """
 
     u: HouseholderQR
     r: np.ndarray
     v: "np.ndarray | RosOperator"
-    kind: str
-    rank_used: int
 
 
 @dataclass
@@ -90,10 +87,9 @@ def mix_apply(v, x, mode):
 def rurv_haar(a, rng=None):
     """Randomized URV with dense Haar mixing: QR of A @ V.T."""
     a = as_matrix(a)
-    m, n = a.shape
-    v = haar_sample(n, rng)
+    v = haar_sample(a.shape[1], rng)
     f = house_qr(a @ v.T)
-    return UrvFactorization(u=f, r=extract_r(f), v=v, kind="haar", rank_used=min(m, n))
+    return UrvFactorization(u=f, r=extract_r(f), v=v)
 
 
 def _mix_and_sort(a, num_mixes, rng):
@@ -136,7 +132,7 @@ def rurv_ros_partial(a, k, num_mixes=1, rng=None):
     rng = np.random.default_rng(rng)
     v, mixed, order = _mix_and_sort(a, num_mixes, rng)
     f = house_qr(mixed[:, order], steps=k)
-    return UrvFactorization(u=f, r=extract_r(f), v=v, kind="ros", rank_used=k)
+    return UrvFactorization(u=f, r=extract_r(f), v=v)
 
 
 def rvlu_ros(a, num_mixes=1, rng=None):
@@ -157,11 +153,11 @@ def rvlu_ros(a, num_mixes=1, rng=None):
 
 
 def urv_reconstruct(fac):
-    """Multiply U R V back together (rank_used rows of R for partial runs)."""
+    """Multiply U R V back together (u.steps rows of R for partial runs)."""
     r = fac.r
-    if fac.rank_used < r.shape[0]:
+    if fac.u.steps < r.shape[0]:
         r = r.copy()
-        r[fac.rank_used :, :] = 0.0
+        r[fac.u.steps :, :] = 0.0
     return mix_apply(fac.v, apply_q(fac.u, r), "right")
 
 

@@ -76,7 +76,6 @@ class RosOperator:
     """
 
     n: int
-    num_mixes: int
     signs: np.ndarray
     presort: np.ndarray | None = None
 
@@ -89,7 +88,7 @@ def ros_sample(n, num_mixes, rng):
         raise ValueError(f"num_mixes must be positive, got {num_mixes}")
     rng = np.random.default_rng(rng)
     signs = 2.0 * rng.integers(0, 2, size=(num_mixes, n)).astype(np.float64) - 1.0
-    return RosOperator(n=n, num_mixes=num_mixes, signs=signs)
+    return RosOperator(n=n, signs=signs)
 
 
 _ROS_MODES = ("right-transpose", "right", "left", "left-transpose")

@@ -1,14 +1,16 @@
 """End-to-end checks of the mixfactor command-line interface."""
 
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mixfactor import gen_kahan, read_matrix
-from mixfactor.cli import _parse_sizes, main
+from mixfactor.cli import _build_parser, _family_sigma, _parse_sizes, main
 
 
 def run_cli(*argv):
@@ -285,6 +287,34 @@ def test_exp_nonpositive_reps_is_usage_error(capsys):
             assert err.startswith("usage:") and "--reps" in err
 
 
+def test_nonpositive_mixes_is_usage_error(tmp_path, capsys):
+    a_path, b_path = make_system(tmp_path, seed=7)
+    for argv in (["factor", "--in", str(a_path), "--method", "qr"],
+                 ["solve", "--a", str(a_path), "--b", str(b_path), "--method", "qr-overdet"],
+                 ["exp", "qlp", "--first", "qrcp", "--m", "8"]):
+        for mixes in ("0", "-1"):
+            with pytest.raises(SystemExit) as info:
+                run_cli(*argv, "--mixes", mixes, "--out", str(tmp_path / "out.csv"))
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:")
+            assert "argument --mixes: must be a positive integer" in err
+
+
+@pytest.mark.parametrize("family", ["kahan", "gap"])
+def test_exp_rr_scaling_sizes_below_two_is_usage_error(family, capsys):
+    assert run_cli("exp", "rr-scaling", "--family", family, "--sizes", "1") == 2
+    assert "--sizes" in capsys.readouterr().err
+
+
+def test_kahan_reference_spectrum_is_accurate():
+    # the Kahan matrix is graded by rows: one-sided Jacobi over its columns
+    # loses 9.5e-6 relative at the smallest singular value of order 250,
+    # over its rows 1.5e-7
+    a = gen_kahan(250)
+    assert_allclose(_family_sigma(a, None), np.linalg.svd(a, compute_uv=False), rtol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -326,6 +356,16 @@ def test_mm_format_rejected_for_csv_commands(tmp_path):
     a_path, b_path = make_system(tmp_path, seed=6)
     assert run_cli("solve", "--a", str(a_path), "--b", str(b_path),
                    "--format", "mm") == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("mixfactor ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_console_script_entry_point():

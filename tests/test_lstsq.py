@@ -17,7 +17,7 @@ from mixfactor import (
     solve_overdetermined,
 )
 from mixfactor import cli, lstsq
-from mixfactor.lstsq import SOLVERS, _basic_solver, _cond2_estimate
+from mixfactor.lstsq import SOLVERS, _basis, _cond2_estimate
 from mixfactor.rurv import _mix_and_sort
 
 
@@ -84,7 +84,7 @@ def test_basic_trailing_coordinates_are_exact_zeros():
     # leading m coordinates are nonzero
     a, b = random_system(6, 15, seed=7)
     for method in BASIC_METHODS:
-        solve = _basic_solver(a, method, np.random.default_rng(8), 1)
+        solve = _basis(a, method, np.random.default_rng(8), 1)
         y, x = solve(b)
         assert y.shape == (15,)
         assert np.all(y[6:] == 0.0)
@@ -113,6 +113,20 @@ def test_basic_rejects_tall():
 def test_basic_unknown_method():
     with pytest.raises(ValueError):
         solve_basic(np.ones((2, 5)), np.ones(2), method="cholesky")
+
+
+@pytest.mark.parametrize("method", OVERDETERMINED_METHODS + ("rvlu-minnorm",))
+def test_basic_rejects_non_basic_methods(method):
+    a, b = random_system(4, 9, seed=49)
+    with pytest.raises(ValueError, match="method must be one of"):
+        solve_basic(a, b, method=method)
+
+
+@pytest.mark.parametrize("method", BASIC_METHODS)
+def test_overdetermined_rejects_basic_methods(method):
+    a, b = random_system(9, 4, seed=50)
+    with pytest.raises(ValueError, match="method must be one of"):
+        solve_overdetermined(a, b, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +248,7 @@ def test_ros_basic_stops_at_first_passing_draw_else_keeps_best(monkeypatch, limi
     monkeypatch.setattr(lstsq, "_COND_LIMIT", limit)
     monkeypatch.setattr(lstsq, "_cond2_estimate", scripted_estimate)
     a, b = random_system(30, 50, seed=36)
-    solve = _basic_solver(a, "rurv-ros-basic", np.random.default_rng(37), 1)
+    solve = _basis(a, "rurv-ros-basic", np.random.default_rng(37), 1)
     assert solve.draws == len(judged) == (3 if limit == 0.0 else 1)
     assert solve.r is judged[kept]
     assert solve.cond_estimate == scripted[kept]

@@ -62,7 +62,7 @@ def test_haar_sample_deterministic_given_seed():
 def test_rurv_haar_reconstructs(m, n):
     a = random_matrix(m, n, seed=m * 64 + n)
     fac = rurv_haar(a, rng=1)
-    assert fac.kind == "haar"
+    assert isinstance(fac.v, np.ndarray)
     assert_allclose(urv_reconstruct(fac), a, atol=1e-12 * max(np.linalg.norm(a), 1))
 
 
@@ -70,7 +70,6 @@ def test_rurv_haar_reconstructs(m, n):
 def test_rurv_ros_reconstructs(m, n):
     a = random_matrix(m, n, seed=m * 64 + n)
     fac = rurv_ros(a, num_mixes=2, rng=2)
-    assert fac.kind == "ros"
     assert isinstance(fac.v, RosOperator)
     assert_allclose(urv_reconstruct(fac), a, atol=1e-12 * max(np.linalg.norm(a), 1))
 
@@ -109,7 +108,7 @@ def test_partial_matches_full_prefix_bit_for_bit():
     a = random_matrix(14, 10, seed=13)
     full = rurv_ros(a, rng=14)
     part = rurv_ros_partial(a, 4, rng=14)
-    assert part.rank_used == 4
+    assert part.u.steps == 4
     assert_array_equal(part.u.packed[:, :4], full.u.packed[:, :4])
     assert_array_equal(part.r[:4], full.r[:4])
 

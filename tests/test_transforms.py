@@ -91,7 +91,7 @@ def test_dct_roundtrip_property(x):
 
 def test_ros_sample_shapes_and_signs():
     op = ros_sample(17, 3, np.random.default_rng(4))
-    assert op.n == 17 and op.num_mixes == 3
+    assert op.n == 17
     assert op.signs.shape == (3, 17)
     assert np.all(np.abs(op.signs) == 1)
     assert op.presort is None
