@@ -431,16 +431,22 @@ def cmd_exp(args):
 
 
 def _u64(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # not an integer: rejected below
     if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text!r}")
     return value
 
 
 def _positive(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 

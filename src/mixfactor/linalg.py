@@ -7,7 +7,7 @@ tails (the leading 1 of each reflector is implicit), and ``taus`` holds the
 scalar coefficients.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,12 @@ _TINY = float(np.finfo(np.float64).tiny)
 # applied at once in compact WY form (Schreiber and Van Loan 1989), as LAPACK's
 # dgeqrf/dlarft/dlarfb do.
 _PANEL = 64
+# A panel is factored recursively, in halves down to leaves of at most _LEAF
+# columns (Elmroth and Gustavson 2000), when it has at least _RECURSE_ROWS
+# rows; a shorter panel is one leaf, since on few rows the per-column loop
+# costs less than the joins.
+_LEAF = 16
+_RECURSE_ROWS = 128
 
 
 def as_matrix(a):
@@ -42,11 +48,16 @@ class HouseholderQR:
              in [0, 2], with 0 marking a step that needed no reflection
     perm   : 0-based source index of each factored column, present only for
              the pivoted factorization (A[:, perm] = Q R)
+
+    The T factor of each panel's compact WY form is kept privately: house_qr
+    stores those it formed, and the first apply forms the others.  A factor
+    must not be changed after it has been applied.
     """
 
     packed: np.ndarray
     taus: np.ndarray
     perm: np.ndarray | None = None
+    _t: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -104,7 +115,8 @@ def house_qr(a, steps=None):
 
     Returns
     -------
-    HouseholderQR
+    HouseholderQR, keeping each panel factor T that the factorization
+    formed on the way (see _node_t)
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -115,27 +127,26 @@ def house_qr(a, steps=None):
         raise ValueError(f"steps must lie in [1, {kmax}], got {steps}")
     packed = a.copy()
     taus = np.zeros(steps)
+    ts = []
     for j0 in range(0, steps, _PANEL):
         # The panel keeps the width a full run gives it even when ``steps``
         # ends inside it, and its missing reflectors are zero in V and T, so
-        # every product below has the same shape as in the full run.  BLAS
-        # rounds an entry differently when the shapes differ, and a partial
-        # run would then not be a bit-for-bit prefix of the full one.
+        # every product inside it has the same shape as in the full run.
+        # BLAS rounds an entry differently when the shapes differ, and a
+        # partial run would then not be a bit-for-bit prefix of the full one.
         j1 = min(j0 + _PANEL, n)
-        for j in range(j0, min(j1, steps)):
-            # reflect column j, then apply the reflector to the rest of the panel
-            taus[j] = tau = _householder(packed[j:, j])
-            rest = packed[j:, j + 1 : j1]
-            if tau and rest.size:
-                tail = packed[j + 1 :, j]
-                w = rest[0] + tail @ rest[1:]
-                rest[0] -= tau * w
-                rest[1:] -= np.outer(tau * tail, w)
+        if j1 == n and _is_leaf(m, j0, j1):
+            # nothing trails the last panel: its T waits for an apply
+            _factor_leaf(packed, taus, j0, j1)
+            ts.append(None)
+            continue
+        t = _node_t(packed, taus, j0, j1, factor=True)
+        ts.append(t)
         if j1 < n:
-            v, t = _compact_wy(packed, taus, j0, j1)
+            v = _reflectors(packed, steps, j0, j1)
             trailing = packed[j0:, j1:]
             trailing -= v @ (t.T @ (v.T @ trailing))
-    return HouseholderQR(packed=packed, taus=taus)
+    return HouseholderQR(packed=packed, taus=taus, _t=ts)
 
 
 def house_qrcp(a):
@@ -172,6 +183,9 @@ def house_qrcp(a):
         # ft[k] is column k of F, over columns j0 .. n-1 of A.
         ft = np.zeros((min(_PANEL, kmax - j0), n - j0))
         stale = None
+        # F stays zero, and so do the updates it drives, while every tau of
+        # the panel is 0, as on a triangular input
+        live = False
         while j < j0 + len(ft) and stale is None:
             k = j - j0
             piv = j + int(np.argmax(norms2[j:]))
@@ -181,9 +195,10 @@ def house_qrcp(a):
                 for vec in (norms2, floor2, perm):
                     vec[j], vec[piv] = vec[piv], vec[j]
             v = packed[j:, j]
-            if k:
+            if live:
                 v -= packed[j:, j0:j] @ ft[:k, k]
             taus[j] = tau = _householder(v)
+            live = live or tau != 0.0
             if j + 1 < n:
                 beta, v[0] = v[0], 1.0
                 if tau:
@@ -194,14 +209,15 @@ def house_qrcp(a):
                     np.subtract(w[k + 1 :], w[:k] @ ft[:k, k + 1 :], out=fk)
                     fk *= tau
                 row = packed[j, j + 1 :]
-                row -= packed[j, j0 : j + 1] @ ft[: k + 1, k + 1 :]
+                if live:
+                    row -= packed[j, j0 : j + 1] @ ft[: k + 1, k + 1 :]
                 v[0] = beta
                 norms2[j + 1 :] -= row * row
                 lost = norms2[j + 1 :] < floor2[j + 1 :]
                 if np.any(lost):
                     stale = j + 1 + np.flatnonzero(lost)
             j += 1
-        if j < n:
+        if j < n and live:
             packed[j:, j:] -= packed[j:, j0:j] @ ft[: j - j0, j - j0 :]
         if stale is not None:
             block = packed[j:, stale]
@@ -225,24 +241,96 @@ def extract_r(f):
     return r
 
 
-def _compact_wy(packed, taus, j0, j1):
-    """V and T with H_j0 H_j0+1 ... H_j1-1 = I - V T V.T on rows j0 and below.
+def _reflectors(packed, steps, j0, j1):
+    """V of the reflectors in columns j0..j1-1, on rows j0 and below.
 
-    V holds the unit lower-trapezoidal reflectors stored in packed[j0:, j0:j1];
-    T is upper triangular (LAPACK's dlarft, forward and columnwise).  Steps
-    past len(taus) are zero reflectors: their columns of V and T are zero.
+    V is unit lower trapezoidal, read from the reflector tails stored in
+    ``packed``; columns at or past ``steps`` (j0 < steps) are zero
+    reflectors.
     """
-    done = min(len(taus), j1) - j0
-    v = np.tril(packed[j0:, j0:j1], -1)
+    done = min(steps, j1) - j0
+    v = packed[j0:, j0:j1].copy()
+    # only the top square holds entries on or above the diagonal
+    v[: j1 - j0] = np.tril(v[: j1 - j0], -1)
     v[:, done:] = 0.0
     v[np.arange(done), np.arange(done)] = 1.0
-    g = v.T @ v
-    t = np.zeros((j1 - j0, j1 - j0))
-    for i in range(done):
-        tau = taus[j0 + i]
-        t[:i, i] = -tau * (t[:i, :i] @ g[:i, i])
-        t[i, i] = tau
-    return v, t
+    return v
+
+
+def _is_leaf(m, j0, j1):
+    return j1 - j0 <= _LEAF or m - j0 < _RECURSE_ROWS
+
+
+def _factor_leaf(packed, taus, j0, j1):
+    """Reflect columns j0 .. up to len(taus) one by one, each updating the rest of the leaf."""
+    done = min(j1, len(taus)) - j0
+    # work on the transpose, where each column is one contiguous row
+    leaf = packed[j0:, j0:j1].T.copy()
+    for j in range(done):
+        taus[j0 + j] = tau = _householder(leaf[j, j:])
+        rest = leaf[j + 1 :, j:]
+        if tau and rest.size:
+            tail = leaf[j, j + 1 :]
+            w = rest[:, 0] + rest[:, 1:] @ tail
+            rest[:, 0] -= tau * w
+            rest[:, 1:] -= np.outer(w, tau * tail)
+    packed[j0:, j0:j1] = leaf.T
+
+
+def _node_t(packed, taus, j0, j1, factor):
+    """T with H_j0 ... H_j1-1 = I - V T V.T, V = _reflectors(packed, len(taus), j0, j1).
+
+    T is upper triangular and built on a fixed recursion tree (Elmroth and
+    Gustavson 2000) that depends only on the node's shape: a leaf forms its
+    T column by column as LAPACK's dlarft does; an inner node splits its
+    columns in halves and joins their factors,
+    T = [[T1, -T1 (V1.T V2) T2], [0, T2]].  Steps past len(taus) are zero
+    reflectors, whose rows and columns of T are zero.
+
+    With ``factor`` the node's columns are first reduced: a leaf reflects
+    its columns one by one, an inner node factors its left half, updates
+    the right half with the left half's compact WY, then factors the right
+    half.  Since every T comes from this one tree, a T kept by house_qr and
+    one formed later from the packed factor are bit-for-bit the same.
+    """
+    steps = len(taus)
+    w = j1 - j0
+    t = np.zeros((w, w))
+    if j0 >= steps:
+        return t
+    if _is_leaf(packed.shape[0], j0, j1):
+        if factor:
+            _factor_leaf(packed, taus, j0, j1)
+        v = _reflectors(packed, steps, j0, j1)
+        g = v.T @ v
+        for i in range(min(steps, j1) - j0):
+            tau = taus[j0 + i]
+            t[:i, i] = -tau * (t[:i, :i] @ g[:i, i])
+            t[i, i] = tau
+        return t
+    mid = j0 + w // 2
+    h = mid - j0
+    t[:h, :h] = t1 = _node_t(packed, taus, j0, mid, factor)
+    v1 = _reflectors(packed, steps, j0, mid)
+    if factor:
+        right = packed[j0:, mid:j1]
+        right -= v1 @ (t1.T @ (v1.T @ right))
+    if mid < steps:
+        t[h:, h:] = t2 = _node_t(packed, taus, mid, j1, factor)
+        t[:h, h:] = -t1 @ ((v1[h:].T @ _reflectors(packed, steps, mid, j1)) @ t2)
+    return t
+
+
+def _panel_ts(f):
+    """The T of each panel of f, forming on first use those it does not hold."""
+    n = f.packed.shape[1]
+    starts = range(0, f.steps, _PANEL)
+    if f._t is None:
+        f._t = [None] * len(starts)
+    for i, j0 in enumerate(starts):
+        if f._t[i] is None:
+            f._t[i] = _node_t(f.packed, f.taus, j0, min(j0 + _PANEL, n), factor=False)
+    return f._t
 
 
 def _apply_reflectors(f, b, transpose):
@@ -255,11 +343,13 @@ def _apply_reflectors(f, b, transpose):
     if b.ndim != 2 or b.shape[0] != m:
         raise ValueError(f"operand has {b.shape[0]} rows, factorization has {m}")
     x = b.copy()
-    panels = range(0, steps, _PANEL)
+    panels = list(zip(range(0, steps, _PANEL), _panel_ts(f)))
     # Q = H_0 H_1 ... H_steps-1: Q.T takes the panels first to last with T.T,
     # Q takes them last to first with T.
-    for j0 in panels if transpose else reversed(panels):
-        v, t = _compact_wy(packed, f.taus, j0, min(j0 + _PANEL, steps))
+    for j0, t in panels if transpose else reversed(panels):
+        d = min(j0 + _PANEL, steps) - j0
+        v = _reflectors(packed, steps, j0, j0 + d)
+        t = t[:d, :d]
         rows = x[j0:]
         rows -= v @ ((t.T if transpose else t) @ (v.T @ rows))
     return x[:, 0] if vec else x

@@ -40,7 +40,7 @@ from .linalg import (
     house_qrcp,
     jacobi_svd,
 )
-from .rurv import _mix_and_sort, haar_sample, mix_apply, rurv_ros, rvlu_ros
+from .rurv import _haar_factor, _mix_and_sort, mix_apply, rurv_ros, rvlu_ros
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -243,9 +243,11 @@ def _basis(a, method, rng, num_mixes):
             return x
 
     elif method == "rurv-haar-basic":
-        v = haar_sample(n, rng)
-        f = house_qr((a @ v.T)[:, :k])
-        to_x = lambda y: v.T @ y
+        # with V = Q diag(flips), A V.T = (Q (flips * A.T)).T and V.T y =
+        # flips * (Q.T y): the Haar reflectors are applied, V is never formed
+        hf, flips = _haar_factor(n, rng)
+        f = house_qr(apply_q(hf, flips[:, None] * a.T)[:k].T)
+        to_x = lambda y: flips * apply_qt(hf, y)
     r = extract_r(f)[:k, :k]
     _check_full_rank(np.diagonal(r))
     return _Basis(f, r, n, to_x)

@@ -43,6 +43,18 @@ class VluFactorization:
     u: HouseholderQR
 
 
+def _haar_factor(n, rng):
+    """QR of an n x n standard Gaussian matrix, and the flips that make its Q Haar.
+
+    Returns (f, flips): V = Q diag(flips), with Q the Q of f, is a Haar
+    sample.  Callers that only multiply by V apply f's reflectors and the
+    flips instead of forming V.
+    """
+    f = house_qr(rng.standard_normal((n, n)))
+    flips = np.where(np.diagonal(f.packed) >= 0.0, 1.0, -1.0)
+    return f, flips
+
+
 def haar_sample(n, rng):
     """Draw an n x n orthogonal matrix from the Haar distribution.
 
@@ -51,12 +63,8 @@ def haar_sample(n, rng):
     result would be biased by the factorization's sign convention rather
     than uniform over the orthogonal group.
     """
-    rng = np.random.default_rng(rng)
-    b = rng.standard_normal((n, n))
-    f = house_qr(b)
-    q = form_q(f, "full")
-    flips = np.where(np.diagonal(f.packed) >= 0.0, 1.0, -1.0)
-    return q * flips
+    f, flips = _haar_factor(n, np.random.default_rng(rng))
+    return form_q(f, "full") * flips
 
 
 def mix_apply(v, x, mode):

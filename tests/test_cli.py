@@ -1,5 +1,6 @@
 """End-to-end checks of the mixfactor command-line interface."""
 
+import re
 import shlex
 import subprocess
 import sys
@@ -299,6 +300,18 @@ def test_nonpositive_mixes_is_usage_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("usage:")
             assert "argument --mixes: must be a positive integer" in err
+
+
+def test_non_integer_flag_values_are_usage_errors(capsys):
+    for argv, flag in ((["gen", "--m", "4", "--mixes", "x"], "--mixes"),
+                       (["exp", "mix-norms", "--reps", "1.5"], "--reps"),
+                       (["gen", "--m", "4", "--seed", "x"], "--seed")):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and repr(argv[-1]) in err
+        assert re.search(r"(?<![\w-])_\w", err) is None, err
 
 
 @pytest.mark.parametrize("family", ["kahan", "gap"])

@@ -18,7 +18,8 @@ from mixfactor import (
     house_qrcp,
     jacobi_svd,
 )
-from mixfactor import gen_kahan
+from mixfactor import gen_kahan, linalg
+from mixfactor.linalg import HouseholderQR
 
 EPS = np.finfo(np.float64).eps
 
@@ -31,7 +32,10 @@ def random_matrix(m, n, seed):
 # QR
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (4, 4), (7, 3), (3, 7), (20, 20), (33, 17)])
+# the later shapes end their last panel past m, a wide last panel holding
+# fewer reflectors than columns, some after a recursively factored panel
+@pytest.mark.parametrize("m,n", [(1, 1), (4, 4), (7, 3), (3, 7), (20, 20), (33, 17),
+                                 (70, 200), (3, 100), (1, 5), (200, 3), (130, 300), (300, 130)])
 def test_house_qr_reconstructs(m, n):
     a = random_matrix(m, n, seed=m * 100 + n)
     f = house_qr(a)
@@ -67,15 +71,20 @@ def test_partial_qr_matches_full_prefix():
     assert_array_equal(part.taus, full.taus[:3])
 
 
-@pytest.mark.parametrize("k", [65, 100, 127])
+# k on both sides of every leaf (16 columns), node (32) and panel (64)
+# boundary of the first three panels, and inside the second panel
+@pytest.mark.parametrize("k", [65, 100, 127, 1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64,
+                               79, 80, 81, 95, 96, 97, 128, 129, 191, 192, 193])
 def test_partial_qr_matches_full_prefix_past_one_panel(k):
-    # k ends inside the second or at the edge of the third 64-column panel
-    a = random_matrix(300, 200, seed=k)
-    full = house_qr(a)
-    part = house_qr(a, steps=k)
-    assert_array_equal(part.packed[:, :k], full.packed[:, :k])
-    assert_array_equal(part.taus, full.taus[:k])
-    assert_array_equal(extract_r(part)[:k], extract_r(full)[:k])
+    for m, n, seed in ((300, 200, k), (150, 300, 1000 + k)):
+        if k > min(m, n):
+            continue
+        a = random_matrix(m, n, seed=seed)
+        full = house_qr(a)
+        part = house_qr(a, steps=k)
+        assert_array_equal(part.packed[:, :k], full.packed[:, :k])
+        assert_array_equal(part.taus, full.taus[:k])
+        assert_array_equal(extract_r(part)[:k], extract_r(full)[:k])
 
 
 PANEL_SHAPES = [(300, 200), (200, 300), (257, 257)]
@@ -117,6 +126,33 @@ def test_apply_qt_of_partial_factorization(m, n):
     a = random_matrix(m, n, seed=m + n)
     f = house_qr(a, steps=100)
     assert_allclose(apply_qt(f, a), extract_r(f), atol=100 * m * EPS * np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("m,n,steps", [(300, 200, None), (200, 300, None), (300, 200, 100)])
+def test_kept_and_formed_panel_factors_agree_bit_for_bit(m, n, steps):
+    # house_qr keeps the T it formed; a factor built from packed and taus
+    # alone forms each T on its first apply, by the same recursion tree
+    f = house_qr(random_matrix(m, n, seed=m + n), steps=steps)
+    bare = HouseholderQR(f.packed.copy(), f.taus.copy())
+    b = random_matrix(m, 3, seed=4)
+    assert_array_equal(apply_qt(f, b), apply_qt(bare, b))
+    assert_array_equal(apply_q(f, b), apply_q(bare, b))
+    for shape in ("full", "thin"):
+        assert_array_equal(form_q(f, shape), form_q(bare, shape))
+
+
+def test_pivoted_factor_forms_each_panel_factor_once(monkeypatch):
+    f = house_qrcp(random_matrix(200, 150, seed=11))
+    calls = []
+    original = linalg._node_t
+    monkeypatch.setattr(linalg, "_node_t", lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    b = random_matrix(200, 2, seed=12)
+    first = apply_qt(f, b)
+    formed = len(calls)
+    assert formed > 0
+    assert_array_equal(apply_qt(f, b), first)
+    assert_allclose(apply_q(f, first), b, atol=1e-12)
+    assert len(calls) == formed
 
 
 def test_apply_qt_then_q_roundtrips():
@@ -251,6 +287,19 @@ def test_qrcp_keeps_identity_on_kahan(m):
     # criterion 08 (m = 20 .. 200) and the benchmark (32, 48, 250) rely on
     # pivoting leaving the Kahan matrix alone
     assert_array_equal(house_qrcp(gen_kahan(m)).perm, np.arange(m))
+
+
+@pytest.mark.parametrize("m", [20, 64, 65, 100, 250])
+def test_qrcp_factor_of_kahan_is_unchanged_by_skipped_updates(m):
+    # Every column of the triangular Kahan matrix needs no reflection, so F
+    # stays zero and house_qrcp skips the updates F drives.  A kernel that
+    # does those updates subtracts exact zeros: with the identity pivots its
+    # factor is the input itself, with every tau 0.
+    a = gen_kahan(m)
+    f = house_qrcp(a)
+    assert_array_equal(f.packed, a)
+    assert_array_equal(f.taus, np.zeros(m))
+    assert_array_equal(f.perm, np.arange(m))
 
 
 # ---------------------------------------------------------------------------

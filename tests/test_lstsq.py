@@ -8,9 +8,12 @@ from mixfactor import (
     BASIC_METHODS,
     OVERDETERMINED_METHODS,
     RankDeficiencyError,
+    apply_qt,
+    back_substitute,
     extract_r,
     gen_condition,
     gen_correlated,
+    haar_sample,
     house_qr,
     solve_basic,
     solve_min_norm,
@@ -254,6 +257,24 @@ def test_ros_basic_stops_at_first_passing_draw_else_keeps_best(monkeypatch, limi
     assert solve.cond_estimate == scripted[kept]
     _, x = solve(b)
     assert np.linalg.norm(a @ x - b) < 1e-11 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("m,n", [(96, 144), (150, 260)])
+def test_haar_basic_solve_matches_dense_mix_of_the_same_draw(m, n):
+    # the solver applies the Haar reflectors and never forms V; the same
+    # solve written with the dense haar_sample V of the same draw agrees
+    a, b = random_system(m, n, seed=m + n)
+    sol = solve_basic(a, b, method="rurv-haar-basic", rng=7)
+    v = haar_sample(n, np.random.default_rng(7))
+    f = house_qr((a @ v.T)[:, :m])
+    r = extract_r(f)[:m, :m]
+
+    def solve(rhs):
+        return v.T @ np.concatenate((back_substitute(r, apply_qt(f, rhs)[:m]), np.zeros(n - m)))
+
+    x = solve(b)
+    x += solve(b - a @ x)
+    assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("method", ["qr-basic", "qrcp", "rurv-haar-basic"])
