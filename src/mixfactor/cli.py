@@ -23,6 +23,7 @@ import numpy as np
 
 from .diagnostics import FIRST_FACTORIZATIONS, _singular_values, qlp, rr_conditions, rvalue_ratios
 from .errors import NumericalError
+from .linalg import apply_q
 from .lstsq import OVERDETERMINED_METHODS, SOLVERS
 from .matgen import (
     gen_condition,
@@ -33,7 +34,7 @@ from .matgen import (
     gen_kahan,
 )
 from .mmio import FormatError, read_matrix, write_matrix
-from .rurv import haar_sample, rurv_ros_partial, rvlu_ros
+from .rurv import _haar_factor, rurv_ros_partial, rvlu_ros
 from .transforms import column_norm_stats, ros_apply, ros_sample
 
 FAMILIES = ("kahan", "gap", "devils-stairs", "correlated", "condition", "heavytail")
@@ -253,7 +254,9 @@ def _exp_mix_norms(args, root):
         mat_rng, haar_rng, ros_rng = root.spawn(3)
         a = gen_heavytail(m, n, mat_rng)
         pre = column_norm_stats(a)
-        mixed_haar = a @ haar_sample(n, haar_rng).T
+        # A V.T with V = Q diag(flips), applying Q's reflectors: V is never formed
+        hf, flips = _haar_factor(n, haar_rng)
+        mixed_haar = apply_q(hf, flips[:, None] * a.T).T
         mixed_ros = ros_apply(ros_sample(n, args.mixes, ros_rng), a, "right-transpose")
         for backend, mixed in (("haar", mixed_haar), ("ros", mixed_ros)):
             post = column_norm_stats(mixed)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConvergenceError, SingularMatrixError
 
 _EPS = float(np.finfo(np.float64).eps)
+_SQRT_EPS = float(np.sqrt(_EPS))
 _TINY = float(np.finfo(np.float64).tiny)
 # Reflectors are grouped into panels of this many columns and each panel is
 # applied at once in compact WY form (Schreiber and Van Loan 1989), as LAPACK's
@@ -25,6 +26,8 @@ _PANEL = 64
 # costs less than the joins.
 _LEAF = 16
 _RECURSE_ROWS = 128
+# One-sided Jacobi gives up after this many sweeps.
+_MAX_SWEEPS = 30
 
 
 def as_matrix(a):
@@ -74,11 +77,13 @@ class SvdResult:
 
     When vectors are present, A = u @ diag(sigma) @ v.T.  Columns whose
     singular value is exactly zero are left as zero vectors in ``u``.
+    ``sweeps`` is the number of Jacobi sweeps that produced the result.
     """
 
     sigma: np.ndarray
     u: np.ndarray | None = None
     v: np.ndarray | None = None
+    sweeps: int = 0
 
 
 def _householder(x):
@@ -154,8 +159,11 @@ def house_qrcp(a):
 
     The pivot at each step is the trailing column of largest 2-norm, ties
     broken by the lowest original index.  Squared norms are downdated after
-    each step and recomputed exactly once a downdated value has lost half of
-    its bits against the last exactly computed reference.
+    each step and recomputed exactly once a downdated value falls to
+    sqrt(eps) times the last exactly computed reference, the test of
+    LAPACK's dlaqp2/dlaqps (tol3z; Drmač and Bujanović 2008): below that the
+    downdate has cancelled half of the reference's digits, and the pivots
+    after a rank drop would be chosen from its rounding errors.
 
     The factorization is blocked as in LAPACK's dgeqp3/dlaqps (Quintana-Orti,
     Sun and Bischof 1998).  Within a panel of up to _PANEL steps the trailing
@@ -175,8 +183,8 @@ def house_qrcp(a):
     taus = np.zeros(kmax)
     perm = np.arange(n)
     norms2 = np.einsum("ij,ij->j", packed, packed)
-    # a downdated squared norm below floor2 has lost half of its bits
-    floor2 = _EPS * norms2
+    # a downdated squared norm below floor2 is recomputed
+    floor2 = _SQRT_EPS * norms2
     j = 0
     while j < kmax:
         j0 = j
@@ -222,7 +230,7 @@ def house_qrcp(a):
         if stale is not None:
             block = packed[j:, stale]
             norms2[stale] = np.einsum("ij,ij->j", block, block)
-            floor2[stale] = _EPS * norms2[stale]
+            floor2[stale] = _SQRT_EPS * norms2[stale]
     return HouseholderQR(packed=packed, taus=taus, perm=perm)
 
 
@@ -416,19 +424,21 @@ def forward_substitute(l, b):
     return _substitute(l, b, lower=True)
 
 
-def _round_robin_rounds(n_pad):
-    """Tournament schedule: n_pad - 1 rounds of disjoint index pairs.
+def _round_robin_rounds(n):
+    """Tournament schedule over n indices: the real pairs of each round.
 
-    Every unordered pair out of n_pad indices appears exactly once.  n_pad
-    must be even.
+    An odd n is padded with one dummy index, so there are n_pad - 1 rounds
+    (n_pad = n rounded up to even) and every unordered pair of real indices
+    appears in exactly one of them.  Each round is a (k, 2) array of
+    disjoint pairs; a pair that meets the dummy index is dropped.
     """
+    n_pad = n + n % 2
     players = list(range(n_pad))
     half = n_pad // 2
     rounds = []
     for _ in range(n_pad - 1):
-        ps = np.array(players[:half])
-        qs = np.array(players[half:][::-1])
-        rounds.append((ps, qs))
+        pairs = np.stack([players[:half], players[half:][::-1]], axis=1)
+        rounds.append(pairs[(pairs < n).all(axis=1)])
         players = [players[0], players[-1]] + players[1:-1]
     return rounds
 
@@ -438,15 +448,29 @@ def jacobi_svd(a, want_vectors=True):
 
     Columns are orthogonalized pairwise with plane rotations, sweeping a
     round-robin ordering until every pairwise cosine is at most n*eps, with
-    a hard cap of 30 sweeps.  This costs more than a bidiagonalization SVD
-    but computes small singular values with much better relative accuracy,
-    which is what the rank-revealing diagnostics need.
+    a hard cap of _MAX_SWEEPS sweeps.  This costs more than a
+    bidiagonalization SVD but computes small singular values with much
+    better relative accuracy, which is what the rank-revealing diagnostics
+    need.
+
+    Each round is one batched step.  The columns of A are stored as the rows
+    of a work array, each followed by the same row of the identity when
+    vectors are wanted, so that one product rotates U and V together.  The
+    round's disjoint pairs are gathered once into a (k, 2, row) stack; three
+    row-wise dot products give every pair's 2 x 2 Gram entries, one batched
+    2 x 2 product rotates the stack (the identity for a pair already
+    orthogonal), and the result is scattered back.
 
     Parameters
     ----------
     a : (m, n) array with m >= n (pass the transpose for wide input)
     want_vectors : bool
         When False only ``sigma`` is computed.
+
+    Returns
+    -------
+    SvdResult, whose ``sweeps`` counts the sweeps run, the last of which
+    found every pair orthogonal (0 for a single column)
 
     Raises
     ------
@@ -458,49 +482,41 @@ def jacobi_svd(a, want_vectors=True):
     m, n = a.shape
     if m < n:
         raise ValueError("jacobi_svd expects m >= n; factor the transpose instead")
-    u = a.copy()
-    v = np.eye(n) if want_vectors else None
+    w = np.hstack([a.T, np.eye(n)]) if want_vectors else a.T.copy()
+    sweeps = 0
     if n > 1:
         tol = n * _EPS
-        n_pad = n + (n % 2)
-        rounds = _round_robin_rounds(n_pad)
+        rounds = _round_robin_rounds(n)
         converged = False
-        for _ in range(30):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             rotated = False
-            for ps, qs in rounds:
-                real = (ps < n) & (qs < n)
-                ps_r, qs_r = ps[real], qs[real]
-                up = u[:, ps_r]
-                uq = u[:, qs_r]
-                alpha = np.einsum("ij,ij->j", up, up)
-                beta = np.einsum("ij,ij->j", uq, uq)
-                gamma = np.einsum("ij,ij->j", up, uq)
-                denom = np.sqrt(alpha * beta)
-                active = np.abs(gamma) > tol * denom
+            for pairs in rounds:
+                p = w[pairs]
+                up, uq = p[:, 0, :m], p[:, 1, :m]
+                alpha = np.einsum("ij,ij->i", up, up)
+                beta = np.einsum("ij,ij->i", uq, uq)
+                gamma = np.einsum("ij,ij->i", up, uq)
+                active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
                 if not np.any(active):
                     continue
                 rotated = True
-                ps_a, qs_a = ps_r[active], qs_r[active]
                 al, be, ga = alpha[active], beta[active], gamma[active]
                 zeta = (be - al) / (2.0 * ga)
                 sign = np.where(zeta >= 0.0, 1.0, -1.0)
                 t = sign / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = c * t
-                up_a = u[:, ps_a]
-                uq_a = u[:, qs_a]
-                u[:, ps_a] = c * up_a - s * uq_a
-                u[:, qs_a] = s * up_a + c * uq_a
-                if want_vectors:
-                    vp = v[:, ps_a]
-                    vq = v[:, qs_a]
-                    v[:, ps_a] = c * vp - s * vq
-                    v[:, qs_a] = s * vp + c * vq
+                # [new p; new q] = [[c, -s], [s, c]] @ [p; q]
+                j = np.zeros((len(pairs), 2, 2))
+                j[:, 0, 0] = j[:, 1, 1] = 1.0
+                j[active] = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+                w[pairs] = j @ p
             if not rotated:
                 converged = True
                 break
         if not converged:
-            gram = np.abs(u.T @ u)
+            u = w[:, :m]
+            gram = np.abs(u @ u.T)
             norms = np.sqrt(np.diagonal(gram))
             scale = np.outer(norms, norms)
             np.fill_diagonal(gram, 0.0)
@@ -509,13 +525,12 @@ def jacobi_svd(a, want_vectors=True):
                 f"Jacobi sweeps did not converge; largest cosine {worst:.3e}",
                 residual=worst,
             )
-    sigma = np.linalg.norm(u, axis=0)
+    sigma = np.linalg.norm(w[:, :m], axis=1)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
     if not want_vectors:
-        return SvdResult(sigma=sigma)
-    u = u[:, order]
-    v = v[:, order]
+        return SvdResult(sigma=sigma, sweeps=sweeps)
+    w = w[order]
     nonzero = sigma > 0.0
-    u[:, nonzero] /= sigma[nonzero]
-    return SvdResult(sigma=sigma, u=u, v=v)
+    w[nonzero, :m] /= sigma[nonzero, None]
+    return SvdResult(sigma=sigma, u=w[:, :m].T.copy(), v=w[:, m:].T.copy(), sweeps=sweeps)

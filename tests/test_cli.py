@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mixfactor import gen_kahan, read_matrix
+from mixfactor import column_norm_stats, gen_heavytail, gen_kahan, haar_sample, read_matrix
 from mixfactor.cli import _build_parser, _family_sigma, _parse_sizes, main
 
 
@@ -216,6 +216,23 @@ def test_exp_mix_norms_contracts_stdev(tmp_path):
     post = header.index("post_stdev")
     for row in rows:
         assert float(row[post]) < float(row[pre])
+
+
+def test_exp_mix_norms_haar_rows_match_dense_mix(tmp_path):
+    # the command applies the Haar reflectors; the dense V of the same draw
+    # must give the same column norms
+    out = tmp_path / "mn.csv"
+    assert run_cli("exp", "mix-norms", "--m", "70", "--n", "90", "--seed", "4",
+                   "--reps", "2", "--no-timestamp", "--out", str(out)) == 0
+    _, header, rows = read_csv(out)
+    haar = [row for row in rows if row[0] == "haar" and row[1] != "-"]
+    root = np.random.default_rng(4)
+    for row in haar:
+        mat_rng, haar_rng, _ = root.spawn(3)
+        dense = column_norm_stats(gen_heavytail(70, 90, mat_rng) @ haar_sample(90, haar_rng).T)
+        for name, value in (("post_mean", dense.mean), ("post_stdev", dense.stdev)):
+            assert_allclose(float(row[header.index(name)]), value, rtol=1e-12)
+    assert len(haar) == 2
 
 
 def test_exp_rr_scaling_kahan(tmp_path):

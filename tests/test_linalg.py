@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mixfactor import (
+    ConvergenceError,
     SingularMatrixError,
     apply_q,
     apply_qt,
@@ -18,7 +19,7 @@ from mixfactor import (
     house_qrcp,
     jacobi_svd,
 )
-from mixfactor import gen_kahan, linalg
+from mixfactor import gen_gap, gen_kahan, linalg
 from mixfactor.linalg import HouseholderQR
 
 EPS = np.finfo(np.float64).eps
@@ -282,6 +283,17 @@ def test_qrcp_stale_norms_end_a_panel_early():
     check_qrcp(a, f, 110)
 
 
+@pytest.mark.parametrize("seed", range(16, 22))
+def test_qrcp_recomputes_norms_after_a_rank_drop(seed):
+    # Past the gap at step 40 the trailing norms fall by ten digits.  A norm
+    # recomputed only at the rounding level of its downdate keeps a noise
+    # value there, and the pivots after the gap would follow that noise.
+    a = gen_gap(100, 40, rng=seed).a
+    f = house_qrcp(a)
+    assert_array_equal(f.perm, reference_qrcp_perm(a))
+    check_qrcp(a, f, 100)
+
+
 @pytest.mark.parametrize("m", [*range(20, 201, 20), 32, 48, 250])
 def test_qrcp_keeps_identity_on_kahan(m):
     # criterion 08 (m = 20 .. 200) and the benchmark (32, 48, 250) rely on
@@ -350,11 +362,13 @@ def test_jacobi_matches_reference_svd():
 
 
 def test_jacobi_factors_reconstruct():
-    a = random_matrix(15, 15, seed=14)
-    res = jacobi_svd(a)
-    assert_allclose((res.u * res.sigma) @ res.v.T, a, atol=1e-12)
-    assert_allclose(res.u.T @ res.u, np.eye(15), atol=1e-13)
-    assert_allclose(res.v.T @ res.v, np.eye(15), atol=1e-13)
+    for m, n, seed in ((15, 15, 14), (300, 64, 16)):
+        a = random_matrix(m, n, seed=seed)
+        res = jacobi_svd(a)
+        assert res.u.shape == (m, n) and res.v.shape == (n, n)
+        assert_allclose((res.u * res.sigma) @ res.v.T, a, atol=1e-12)
+        assert_allclose(res.u.T @ res.u, np.eye(n), atol=1e-13)
+        assert_allclose(res.v.T @ res.v, np.eye(n), atol=1e-13)
 
 
 def test_jacobi_high_relative_accuracy_on_graded_columns():
@@ -378,3 +392,58 @@ def test_jacobi_rank_deficient():
 def test_jacobi_rejects_wide_input():
     with pytest.raises(ValueError):
         jacobi_svd(np.ones((2, 5)))
+
+
+# the schedule of an odd order is padded with a dummy index, so each round
+# drops the pair that meets it
+@pytest.mark.parametrize("n", [249, 250])
+def test_jacobi_matches_reference_svd_on_triangles(n):
+    a = extract_r(house_qr(random_matrix(n, n, seed=n)))
+    res = jacobi_svd(a, want_vectors=False)
+    assert_allclose(res.sigma, np.linalg.svd(a, compute_uv=False), rtol=1e-12)
+    assert 1 < res.sweeps <= linalg._MAX_SWEEPS
+
+
+def test_jacobi_high_relative_accuracy_on_rotated_graded_columns():
+    # A = Q D G, with Q orthogonal, D spanning 12 decades and G rotating
+    # each pair of neighbouring columns: the singular values are exactly D,
+    # and Jacobi must undo every rotation of G to find the small ones
+    n = 200
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    scales = np.logspace(0, -12, n)
+    theta = rng.uniform(0.0, np.pi, n // 2)
+    i = np.arange(0, n, 2)
+    g = np.zeros((n, n))
+    g[i, i] = g[i + 1, i + 1] = np.cos(theta)
+    g[i + 1, i] = np.sin(theta)
+    g[i, i + 1] = -np.sin(theta)
+    res = jacobi_svd((q * scales) @ g, want_vectors=False)
+    assert res.sweeps > 1
+    assert_allclose(res.sigma, scales, rtol=1e-12)
+
+
+def test_jacobi_leaves_orthogonal_pairs_untouched():
+    # Columns 20..39 are scaled unit vectors on rows no other column uses,
+    # so every round pairs some of them (never rotated) beside active pairs
+    # of the Gaussian columns 0..19; their singular values and right
+    # singular vectors come out exactly.
+    a = np.zeros((60, 40))
+    a[:30, :20] = random_matrix(30, 20, seed=18)
+    scales = 2.0 ** -np.arange(20)
+    a[30 + np.arange(20), 20 + np.arange(20)] = scales
+    res = jacobi_svd(a)
+    assert res.sweeps > 1
+    for k, scale in enumerate(scales):
+        (at,) = np.flatnonzero(res.sigma == scale)
+        assert_array_equal(res.v[:, at], np.eye(40)[20 + k])
+    assert_allclose(res.sigma, np.linalg.svd(a, compute_uv=False), rtol=1e-13)
+    assert_allclose((res.u * res.sigma) @ res.v.T, a, atol=1e-13)
+
+
+def test_jacobi_sweep_cap_raises_with_residual(monkeypatch):
+    n = 40
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as info:
+        jacobi_svd(random_matrix(n, n, seed=19))
+    assert info.value.residual > n * EPS
