@@ -242,10 +242,7 @@ def extract_r(f):
     reflectors left there.
     """
     r = f.packed.copy()
-    m, n = r.shape
-    i = np.arange(m)[:, None]
-    j = np.arange(n)[None, :]
-    r[(i > j) & (j < f.steps)] = 0.0
+    r[:, : f.steps] = np.triu(r[:, : f.steps])
     return r
 
 

@@ -161,19 +161,28 @@ def rvlu_ros(a, num_mixes=1, rng=None):
 
 
 def urv_reconstruct(fac):
-    """Multiply U R V back together (u.steps rows of R for partial runs)."""
-    r = fac.r
-    if fac.u.steps < r.shape[0]:
-        r = r.copy()
-        r[fac.u.steps :, :] = 0.0
-    return mix_apply(fac.v, apply_q(fac.u, r), "right")
+    """Multiply U R V back together (u.steps rows of R for partial runs).
+
+    With k = u.steps this is A_k = U [R_k; 0] V = U [R_k V; 0], R_k the
+    first k rows of R: V unmixes only those k rows, at the cost of the
+    rank, and U then acts on them padded with zeros to full height.  For a
+    full factorization k = min(m, n) and A_k = A.  ``fac.r`` is left as it
+    is.
+    """
+    k = fac.u.steps
+    padded = np.zeros(fac.r.shape)
+    padded[:k] = mix_apply(fac.v, fac.r[:k], "right")
+    return apply_q(fac.u, padded)
 
 
 def vlu_reconstruct(fac):
-    """Multiply V.T L U back together."""
-    rows = fac.u.packed.shape[0]
-    lt = fac.l.T
-    padded = np.zeros((rows, lt.shape[1]))
-    padded[: lt.shape[0]] = lt
-    lu = apply_q(fac.u, padded).T
-    return mix_apply(fac.v, lu, "left-transpose")
+    """Multiply V.T L U back together.
+
+    V.T (L U) = (V.T L) U: V.T unmixes the min(m, n) columns of L, and U,
+    the transposed thin Q of the packed factor, then acts on the result
+    through Q [(V.T L).T; 0].
+    """
+    w = mix_apply(fac.v, fac.l, "left-transpose")
+    padded = np.zeros((fac.u.packed.shape[0], w.shape[0]))
+    padded[: w.shape[1]] = w.T
+    return apply_q(fac.u, padded).T

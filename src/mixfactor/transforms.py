@@ -42,7 +42,8 @@ def dct2(x, axis=-1):
     v = np.concatenate((y[..., 0::2], y[..., 1::2][..., ::-1]), axis=-1)
     twiddle, weights = _dct_tables(n)
     spec = np.fft.fft(v, axis=-1)
-    c = weights * np.real(twiddle * spec)
+    spec *= twiddle
+    c = spec.real * weights
     return np.moveaxis(c, -1, axis)
 
 
@@ -109,21 +110,21 @@ def ros_apply(v, a, mode):
     axis = 1 if mode.startswith("right") else 0
     if a.shape[axis] != v.n:
         raise ValueError(f"operand size {a.shape[axis]} along axis {axis} does not match operator dimension {v.n}")
-    out = a.copy()
     if mode in ("right-transpose", "left"):
+        out = a
         for signs in v.signs[::-1]:
-            out *= signs if axis == 1 else signs[:, None]
-            out = dct2(out, axis=axis)
+            out = dct2(out * (signs if axis == 1 else signs[:, None]), axis=axis)
         if v.presort is not None:
             out = out[:, v.presort] if axis == 1 else out[v.presort, :]
     else:
+        # a is only read: dct3 returns a new array before the signs scale it
+        out = a
         if v.presort is not None:
-            gathered = out
-            out = np.empty_like(gathered)
+            out = np.empty_like(a)
             if axis == 1:
-                out[:, v.presort] = gathered
+                out[:, v.presort] = a
             else:
-                out[v.presort, :] = gathered
+                out[v.presort, :] = a
         for signs in v.signs:
             out = dct3(out, axis=axis)
             out *= signs if axis == 1 else signs[:, None]

@@ -88,6 +88,20 @@ def test_partial_qr_matches_full_prefix_past_one_panel(k):
         assert_array_equal(extract_r(part)[:k], extract_r(full)[:k])
 
 
+@pytest.mark.parametrize("m,n,k", [(40, 60, 10), (60, 40, 40), (50, 90, 50), (90, 50, 30),
+                                   (300, 200, 100), (200, 300, 100)])
+def test_extract_r_matches_mask(m, n, k):
+    # partial, full wide, full tall, and steps ending inside the second panel
+    f = house_qr(random_matrix(m, n, seed=m + n + k), steps=k)
+    i = np.arange(m)[:, None]
+    j = np.arange(n)[None, :]
+    expected = f.packed.copy()
+    expected[(i > j) & (j < k)] = 0.0
+    r = extract_r(f)
+    assert_array_equal(r, expected)
+    assert not np.shares_memory(r, f.packed)
+
+
 PANEL_SHAPES = [(300, 200), (200, 300), (257, 257)]
 
 

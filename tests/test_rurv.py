@@ -6,10 +6,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mixfactor import (
     RosOperator,
+    form_q,
     haar_sample,
     jacobi_svd,
     mix_apply,
     ros_apply,
+    ros_dense,
     rurv_haar,
     rurv_ros,
     rurv_ros_partial,
@@ -129,6 +131,56 @@ def test_partial_reconstructs_low_rank_exactly():
     a = left @ right
     fac = rurv_ros_partial(a, 3, rng=17)
     assert_allclose(urv_reconstruct(fac), a, atol=1e-12 * np.linalg.norm(a))
+
+
+# Reconstructions past the 64-column panel, against the dense products.
+LARGE_URV = [
+    ("partial-wide", 200, 300, lambda a: rurv_ros_partial(a, 100, rng=32)),
+    ("partial-tall", 300, 200, lambda a: rurv_ros_partial(a, 100, rng=33)),
+    ("ros-wide", 200, 300, lambda a: rurv_ros(a, num_mixes=2, rng=34)),
+    ("ros-tall", 300, 200, lambda a: rurv_ros(a, num_mixes=2, rng=35)),
+    ("haar-wide", 200, 300, lambda a: rurv_haar(a, rng=36)),
+    ("haar-tall", 300, 200, lambda a: rurv_haar(a, rng=37)),
+]
+
+
+@pytest.mark.parametrize("name,m,n,factor", LARGE_URV, ids=[c[0] for c in LARGE_URV])
+def test_urv_reconstruct_matches_dense_product_past_one_panel(name, m, n, factor):
+    a = random_matrix(m, n, seed=m + 2 * n)
+    fac = factor(a)
+    k = fac.u.steps
+    r_before = fac.r.copy()
+    r_k = np.zeros((m, n))
+    r_k[:k] = fac.r[:k]
+    v = fac.v if isinstance(fac.v, np.ndarray) else ros_dense(fac.v)
+    dense = form_q(fac.u) @ r_k @ v
+    assert_allclose(urv_reconstruct(fac), dense, rtol=0, atol=1e-13 * np.linalg.norm(a))
+    assert_array_equal(fac.r, r_before)
+
+
+@pytest.mark.parametrize("m,n", [(300, 200), (200, 300)])
+def test_vlu_reconstruct_matches_dense_product_past_one_panel(m, n):
+    a = random_matrix(m, n, seed=m + 3 * n)
+    fac = rvlu_ros(a, rng=38)
+    l_before = fac.l.copy()
+    dense = ros_dense(fac.v).T @ fac.l @ form_q(fac.u, "thin").T
+    out = vlu_reconstruct(fac)
+    assert_allclose(out, dense, rtol=0, atol=1e-13 * np.linalg.norm(a))
+    assert_allclose(out, a, rtol=0, atol=1e-13 * np.linalg.norm(a))
+    assert_array_equal(fac.l, l_before)
+
+
+def test_partial_error_equals_trailing_block():
+    # ||A - A_k||_F = ||R22||_F since U and V are orthogonal: the identity the
+    # benchmark's low-rank check relies on
+    m, n, k = 300, 256, 8
+    a = random_matrix(m, k, seed=39) @ random_matrix(k, n, seed=40) + 1e-3 * random_matrix(m, n, seed=41)
+    fac = rurv_ros_partial(a, k, rng=42)
+    err = np.linalg.norm(a - urv_reconstruct(fac))
+    slack = max(m, n) * np.finfo(float).eps * np.linalg.norm(a)
+    assert abs(err - np.linalg.norm(fac.r[k:, k:])) <= slack
+    tail = np.linalg.norm(np.linalg.svd(a, compute_uv=False)[k:])
+    assert err >= tail - slack
 
 
 def test_partial_rejects_bad_rank():

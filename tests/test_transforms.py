@@ -127,6 +127,20 @@ def test_ros_apply_matches_dense(mode, num_mixes):
     assert_allclose(ros_apply(op, a, mode), dense, atol=1e-13)
 
 
+@pytest.mark.parametrize("mode", ["right-transpose", "right", "left", "left-transpose"])
+@pytest.mark.parametrize("presort", [False, True])
+def test_ros_apply_leaves_input_unmodified(mode, presort):
+    rng = np.random.default_rng(12)
+    op = ros_sample(9, 2, rng)
+    if presort:
+        op.presort = rng.permutation(9)
+    a = rng.standard_normal((4, 9) if mode.startswith("right") else (9, 4))
+    before = a.copy()
+    out = ros_apply(op, a, mode)
+    assert np.array_equal(a, before)
+    assert not np.shares_memory(out, a)
+
+
 def test_ros_apply_inverts():
     op = ros_sample(9, 2, np.random.default_rng(7))
     a = np.random.default_rng(8).standard_normal((5, 9))
