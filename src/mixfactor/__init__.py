@@ -56,8 +56,10 @@ from .matgen import (
 )
 from .mmio import FormatError, read_matrix, write_matrix
 from .rurv import (
+    HaarOperator,
     UrvFactorization,
     VluFactorization,
+    haar_operator,
     haar_sample,
     mix_apply,
     rurv_haar,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .diagnostics import FIRST_FACTORIZATIONS, _singular_values, qlp, rr_conditions, rvalue_ratios
 from .errors import NumericalError
-from .linalg import apply_q
 from .lstsq import OVERDETERMINED_METHODS, SOLVERS
 from .matgen import (
     gen_condition,
@@ -34,8 +33,8 @@ from .matgen import (
     gen_kahan,
 )
 from .mmio import FormatError, read_matrix, write_matrix
-from .rurv import _haar_factor, rurv_ros_partial, rvlu_ros
-from .transforms import column_norm_stats, ros_apply, ros_sample
+from .rurv import haar_operator, mix_apply, rurv_ros_partial, rvlu_ros
+from .transforms import column_norm_stats, ros_sample
 
 FAMILIES = ("kahan", "gap", "devils-stairs", "correlated", "condition", "heavytail")
 FACTOR_METHODS = tuple(FIRST_FACTORIZATIONS) + ("rvlu-ros",)
@@ -180,6 +179,8 @@ def cmd_factor(args):
     rng = np.random.default_rng(args.seed)
     if args.rank is not None and args.method != "rurv-ros":
         raise ValueError("--rank applies to the rurv-ros method only")
+    if args.rank is not None and not 1 <= args.rank <= min(a.shape):
+        raise ValueError(f"--rank must lie in [1, {min(a.shape)}], got {args.rank}")
     t0 = time.perf_counter()
     if args.rank is not None:
         r = rurv_ros_partial(a, args.rank, args.mixes, rng).r
@@ -188,8 +189,7 @@ def cmd_factor(args):
     else:
         r = FIRST_FACTORIZATIONS[args.method](a, args.mixes, rng)
     elapsed = _elapsed_since(t0, args)
-    count = args.rank if args.rank is not None else min(r.shape)
-    values = np.abs(np.diagonal(r))[:count]
+    values = np.abs(np.diagonal(r))[: args.rank]
     config = {
         "subcommand": "factor",
         "infile": args.infile,
@@ -249,21 +249,16 @@ def _exp_mix_norms(args, root):
         "pre_mean", "pre_stdev", "post_mean", "post_stdev",
     ]
     rows = []
-    stats = {"haar": [], "ros": []}
     for i in range(args.reps):
         mat_rng, haar_rng, ros_rng = root.spawn(3)
         a = gen_heavytail(m, n, mat_rng)
         pre = column_norm_stats(a)
-        # A V.T with V = Q diag(flips), applying Q's reflectors: V is never formed
-        hf, flips = _haar_factor(n, haar_rng)
-        mixed_haar = apply_q(hf, flips[:, None] * a.T).T
-        mixed_ros = ros_apply(ros_sample(n, args.mixes, ros_rng), a, "right-transpose")
-        for backend, mixed in (("haar", mixed_haar), ("ros", mixed_ros)):
-            post = column_norm_stats(mixed)
-            stats[backend].append((pre.mean, pre.stdev, post.mean, post.stdev))
+        handles = (("haar", haar_operator(n, haar_rng)), ("ros", ros_sample(n, args.mixes, ros_rng)))
+        for backend, v in handles:
+            post = column_norm_stats(mix_apply(v, a, "right-transpose"))
             rows.append([backend, i, 0, pre.mean, pre.stdev, post.mean, post.stdev])
     for backend in ("haar", "ros"):
-        agg = np.mean(np.asarray(stats[backend]), axis=0)
+        agg = np.mean([row[3:] for row in rows if row[0] == backend], axis=0)
         rows.append([backend, "-", 1] + [float(v) for v in agg])
     config = {"m": m, "n": n, "reps": args.reps}
     return config, header, rows
@@ -381,7 +376,7 @@ def _exp_ls_bench(args, root):
         n = 2 * m
         if 2 * args.p > min(m, n):
             raise ValueError(f"correlated family needs 2p <= min(m, n); p={args.p}, size {m}")
-        per_method = {}
+        start = len(rows)
         for i in range(args.reps):
             wide_rng, tall_rng, b_rng = root.spawn(3)
             wide = gen_correlated(m, n, args.p, args.e, wide_rng)
@@ -396,11 +391,9 @@ def _exp_ls_bench(args, root):
                 elapsed = _elapsed_since(t0, args)
                 rows.append([a.shape[0], a.shape[1], method, i, 0,
                              sol.residual_norm, sol.solution_norm, elapsed])
-                per_method.setdefault(method, []).append(
-                    (sol.residual_norm, sol.solution_norm, elapsed))
         for method in SOLVE_METHODS:
             shape = (n, m) if method in OVERDETERMINED_METHODS else (m, n)
-            agg = np.mean(np.asarray(per_method[method]), axis=0)
+            agg = np.mean([row[5:] for row in rows[start:] if row[2] == method], axis=0)
             rows.append([shape[0], shape[1], method, "-", 1] + [float(v) for v in agg])
     config = {"sizes": ",".join(str(s) for s in sizes), "reps": args.reps,
               "p": args.p, "e": args.e}
@@ -433,24 +426,19 @@ def cmd_exp(args):
 # parser
 
 
-def _u64(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # not an integer: rejected below
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text!r}")
-    return value
+def _int_in(lo, hi, what):
+    """argparse type: an integer in [lo, hi), else the error "<what>, got <text>"."""
 
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1  # not an integer: rejected below
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
 
-def _positive(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # not an integer: rejected below
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+    return parse
 
 
 def _add_family_flags(parser):
@@ -482,10 +470,10 @@ def _add_family_flags(parser):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_u64, default=0,
-                        help="RNG seed, unsigned 64-bit (default: 0)")
-    common.add_argument("--mixes", type=_positive, default=1,
-                        help="number of mixing passes N (default: 1)")
+    common.add_argument("--seed", type=_int_in(0, 2**64, "seed must be an unsigned 64-bit integer"),
+                        default=0, help="RNG seed, unsigned 64-bit (default: 0)")
+    common.add_argument("--mixes", type=_int_in(1, float("inf"), "must be a positive integer"),
+                        default=1, help="number of mixing passes N (default: 1)")
     common.add_argument("--out", default="-",
                         help="output path, '-' for stdout (default: '-')")
     common.add_argument("--format", choices=("mm", "csv"), default=None,
@@ -528,8 +516,8 @@ def _build_parser():
     _add_family_flags(p_exp)
     p_exp.add_argument("--sizes", default="100:300:100",
                        help="size sweep, 'lo:hi[:step]' or comma list (default: 100:300:100)")
-    p_exp.add_argument("--reps", type=_positive, default=5,
-                       help="instantiations per configuration (default: 5)")
+    p_exp.add_argument("--reps", type=_int_in(1, float("inf"), "must be a positive integer"),
+                       default=5, help="instantiations per configuration (default: 5)")
     p_exp.add_argument("--first", choices=FIRST_FACTORIZATIONS, default="rurv-ros",
                        help="first pass for the qlp experiment (default: rurv-ros)")
     p_exp.set_defaults(func=cmd_exp)
@@ -543,10 +531,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"mixfactor: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FormatError as exc:
-        print(f"mixfactor: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"mixfactor: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

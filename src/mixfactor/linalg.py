@@ -241,8 +241,10 @@ def extract_r(f):
     cleared below the diagonal; the trailing block keeps the values the
     reflectors left there.
     """
-    r = f.packed.copy()
-    r[:, : f.steps] = np.triu(r[:, : f.steps])
+    p, k = f.packed, f.steps
+    r = np.empty_like(p)
+    r[:, :k] = np.triu(p[:, :k])
+    r[:, k:] = p[:, k:]
     return r
 
 

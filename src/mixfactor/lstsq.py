@@ -18,7 +18,7 @@ the mix from the same generator, up to 3 draws in total, and keeps the
 best-conditioned one if none passes.  A draw whose R11 is numerically
 singular counts as kappa = inf; RankDeficiencyError is raised only when
 every draw is.  "rurv-haar-basic", the paper's reference method, stays a
-single draw: a dense Haar redraw costs far more than the check.
+single draw: a Haar redraw costs another n x n QR, far more than the check.
 """
 
 from collections.abc import Callable
@@ -40,7 +40,7 @@ from .linalg import (
     house_qrcp,
     jacobi_svd,
 )
-from .rurv import _haar_factor, _mix_and_sort, mix_apply, rurv_ros, rvlu_ros
+from .rurv import _mix_and_sort, haar_operator, mix_apply, rurv_ros, rvlu_ros
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -236,18 +236,12 @@ def _basis(a, method, rng, num_mixes):
         to_x = lambda y: mix_apply(fac.v, y, "left-transpose")
     elif method == "qrcp":
         f = house_qrcp(a)
-
-        def to_x(y):
-            x = np.empty(n)
-            x[f.perm] = y
-            return x
-
+        # y holds the coefficients of the columns perm: x[perm] = y
+        to_x = lambda y: y[np.argsort(f.perm)]
     elif method == "rurv-haar-basic":
-        # with V = Q diag(flips), A V.T = (Q (flips * A.T)).T and V.T y =
-        # flips * (Q.T y): the Haar reflectors are applied, V is never formed
-        hf, flips = _haar_factor(n, rng)
-        f = house_qr(apply_q(hf, flips[:, None] * a.T)[:k].T)
-        to_x = lambda y: flips * apply_qt(hf, y)
+        v = haar_operator(n, rng)
+        f = house_qr(mix_apply(v, a, "right-transpose")[:, :k])
+        to_x = lambda y: mix_apply(v, y, "left-transpose")
     r = extract_r(f)[:k, :k]
     _check_full_rank(np.diagonal(r))
     return _Basis(f, r, n, to_x)

@@ -1,17 +1,18 @@
 """Randomized URV and VLU factorizations.
 
 A = U R V with orthogonal U, V and upper-triangular R.  U always stays in
-packed Householder form; V is either a dense Haar-distributed orthogonal
-matrix or an implicit RosOperator.  The VLU variant mixes rows instead and
-factors the transpose, giving A = V.T L U for minimum-norm solves.
+packed Householder form; V is a dense Haar-distributed orthogonal matrix,
+an implicit HaarOperator, or an implicit RosOperator, and mix_apply applies
+any of them.  The VLU variant mixes rows instead and factors the transpose,
+giving A = V.T L U for minimum-norm solves.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HouseholderQR, apply_q, as_matrix, extract_r, form_q, house_qr
-from .transforms import RosOperator, ros_apply, ros_sample
+from .linalg import HouseholderQR, apply_q, apply_qt, as_matrix, extract_r, form_q, house_qr
+from .transforms import _ROS_MODES, RosOperator, ros_apply, ros_sample
 
 
 @dataclass
@@ -43,52 +44,65 @@ class VluFactorization:
     u: HouseholderQR
 
 
-def _haar_factor(n, rng):
-    """QR of an n x n standard Gaussian matrix, and the flips that make its Q Haar.
+@dataclass
+class HaarOperator:
+    """Implicit Haar matrix V = Q diag(flips), never formed.
 
-    Returns (f, flips): V = Q diag(flips), with Q the Q of f, is a Haar
-    sample.  Callers that only multiply by V apply f's reflectors and the
-    flips instead of forming V.
+    f : packed QR of an n x n standard Gaussian matrix, holding Q as reflectors
+    flips : (n,) array of +-1.0, the signs of that QR's R diagonal
     """
-    f = house_qr(rng.standard_normal((n, n)))
-    flips = np.where(np.diagonal(f.packed) >= 0.0, 1.0, -1.0)
-    return f, flips
+
+    f: HouseholderQR
+    flips: np.ndarray
 
 
-def haar_sample(n, rng):
-    """Draw an n x n orthogonal matrix from the Haar distribution.
+def haar_operator(n, rng):
+    """Draw an n x n orthogonal matrix from the Haar distribution, implicitly.
 
     QR of a standard Gaussian matrix, with each Q column flipped so the
     implied R diagonal is non-negative.  Without that sign normalization the
     result would be biased by the factorization's sign convention rather
-    than uniform over the orthogonal group.
+    than uniform over the orthogonal group (Mezzadri 2007).  Q stays as its
+    reflectors (Stewart 1980): mix_apply applies them and never forms V.
     """
-    f, flips = _haar_factor(n, np.random.default_rng(rng))
-    return form_q(f, "full") * flips
+    f = house_qr(np.random.default_rng(rng).standard_normal((n, n)))
+    flips = np.where(np.diagonal(f.packed) >= 0.0, 1.0, -1.0)
+    return HaarOperator(f, flips)
+
+
+def haar_sample(n, rng):
+    """Draw an n x n Haar orthogonal matrix: haar_operator's V, formed densely."""
+    v = haar_operator(n, rng)
+    return form_q(v.f, "full") * v.flips
 
 
 def mix_apply(v, x, mode):
-    """Apply a mixing handle (dense matrix or RosOperator) to x.
+    """Apply a mixing handle (dense matrix, HaarOperator or RosOperator) to x.
 
-    Vectors are promoted to a single column (left modes) or row (right
-    modes) and returned flat.
+    mode is one of ros_apply's.  Vectors are promoted to a single column
+    (left modes) or row (right modes) and returned flat.
     """
+    if mode not in _ROS_MODES:
+        raise ValueError(f"mode must be one of {_ROS_MODES}, got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     vec = x.ndim == 1
+    right = mode.startswith("right")
     if vec:
-        x = x[:, None] if mode.startswith("left") else x[None, :]
+        x = x[None, :] if right else x[:, None]
     if isinstance(v, RosOperator):
         out = ros_apply(v, x, mode)
-    elif mode == "right-transpose":
-        out = x @ v.T
-    elif mode == "right":
-        out = x @ v
-    elif mode == "left":
-        out = v @ x
-    elif mode == "left-transpose":
-        out = v.T @ x
+    elif isinstance(v, HaarOperator):
+        # V X = Q (flips * X) and V.T X = flips * (Q.T X); a right mode is
+        # the left mode on x.T, transposed back: X V.T = (V X.T).T
+        y = x.T if right else x
+        if mode in ("left", "right-transpose"):
+            out = apply_q(v.f, v.flips[:, None] * y)
+        else:
+            out = v.flips[:, None] * apply_qt(v.f, y)
+        out = out.T if right else out
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        dense = v.T if mode.endswith("transpose") else v
+        out = x @ dense if right else dense @ x
     return out.ravel() if vec else out
 
 

@@ -119,6 +119,17 @@ def test_factor_rank_only_for_ros(tmp_path, capsys):
     assert run_cli("factor", "--in", str(mat), "--method", "qr", "--rank", "2") == 2
 
 
+@pytest.mark.parametrize("rank", ["0", "21"])
+def test_factor_rank_out_of_range_names_the_flag(tmp_path, capsys, rank):
+    mat = tmp_path / "g.mm"
+    run_cli("gen", "--family", "gap", "--m", "20", "--seed", "1", "--out", str(mat))
+    capsys.readouterr()
+    assert run_cli("factor", "--in", str(mat), "--rank", rank) == 2
+    err = capsys.readouterr().err
+    assert "--rank" in err
+    assert f"[1, 20], got {rank}" in err
+
+
 def test_factor_missing_file_is_io_error(capsys):
     assert run_cli("factor", "--in", "/no/such/file.mm") == 4
 

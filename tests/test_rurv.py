@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mixfactor import (
+    HaarOperator,
     RosOperator,
     form_q,
+    haar_operator,
     haar_sample,
     jacobi_svd,
     mix_apply,
@@ -230,22 +232,52 @@ def test_rvlu_row_vector_mixing_norm():
 
 
 def test_mix_apply_promotes_vectors():
-    op = rurv_ros(random_matrix(6, 6, seed=25), rng=26).v
-    x = np.arange(6.0)
-    left = mix_apply(op, x, "left")
-    right = mix_apply(op, x, "right")
-    assert left.shape == (6,)
-    assert right.shape == (6,)
-    dense = mix_apply(op, np.eye(6), "left")
-    assert_allclose(left, dense @ x, atol=1e-13)
-    assert_allclose(right, x @ dense, atol=1e-13)
+    for op in (rurv_ros(random_matrix(6, 6, seed=25), rng=26).v, haar_operator(6, 26)):
+        x = np.arange(6.0)
+        left = mix_apply(op, x, "left")
+        right = mix_apply(op, x, "right")
+        assert left.shape == (6,)
+        assert right.shape == (6,)
+        dense = mix_apply(op, np.eye(6), "left")
+        assert_allclose(left, dense @ x, atol=1e-13)
+        assert_allclose(right, x @ dense, atol=1e-13)
 
 
 def test_mix_apply_dense_passthrough():
+    # the implicit Haar handle of the same draw stands in for the dense V
     q = haar_sample(5, np.random.default_rng(27))
     a = random_matrix(5, 5, seed=28)
-    assert_allclose(mix_apply(q, a, "left"), q @ a)
-    assert_allclose(mix_apply(q, a, "right-transpose"), a @ q.T)
+    for v in (q, haar_operator(5, np.random.default_rng(27))):
+        assert_allclose(mix_apply(v, a, "left"), q @ a)
+        assert_allclose(mix_apply(v, a, "right-transpose"), a @ q.T)
+
+
+@pytest.mark.parametrize("n", [5, 150, 300])
+def test_haar_operator_matches_dense_sample_of_the_same_seed(n):
+    # 150 and 300 run past the 64-column panel and the 128-row recursion
+    v = haar_operator(n, n + 2)
+    assert isinstance(v, HaarOperator)
+    assert set(v.flips) == {1.0, -1.0}  # both signs, so the flips are exercised
+    q = haar_sample(n, n + 2)
+    assert_array_equal(form_q(v.f, "full") * v.flips, q)
+    dense = {"left": q, "left-transpose": q.T, "right": q, "right-transpose": q.T}
+    rng = np.random.default_rng(n + 1)
+    for mode, d in dense.items():
+        shape = (n, 7) if mode.startswith("left") else (7, n)
+        for x in (rng.standard_normal(n), rng.standard_normal(shape)):
+            kept = x.copy()
+            got = mix_apply(v, x, mode)
+            want = d @ x if mode.startswith("left") else x @ d
+            assert got.shape == x.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(x)
+            assert_array_equal(x, kept)
+
+
+def test_mix_apply_rejects_unknown_mode_for_every_handle():
+    a = random_matrix(4, 4, seed=29)
+    for v in (np.eye(4), haar_operator(4, 30), rurv_ros(a, rng=31).v):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            mix_apply(v, a, "sideways")
 
 
 def test_factorizations_deterministic_given_seed():
