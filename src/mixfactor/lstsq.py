@@ -19,6 +19,8 @@ best-conditioned one if none passes.  A draw whose R11 is numerically
 singular counts as kappa = inf; RankDeficiencyError is raised only when
 every draw is.  "rurv-haar-basic", the paper's reference method, stays a
 single draw: a Haar redraw costs another n x n QR, far more than the check.
+Every solve through a triangle R11 runs that loop (_basis), one factor step
+and one rank check a draw, but only "rurv-ros-basic" draws more than once.
 """
 
 from collections.abc import Callable
@@ -40,7 +42,7 @@ from .linalg import (
     house_qrcp,
     jacobi_svd,
 )
-from .rurv import _mix_and_sort, haar_operator, mix_apply, rurv_ros, rvlu_ros
+from .rurv import _mix_and_sort, haar_operator, mix_apply, rvlu_ros
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -134,9 +136,15 @@ def _finish(a, b, x, method, draws=1, cond_estimate=None):
 
 
 def _as_rhs(b, m):
-    b = np.asarray(b, dtype=np.float64).ravel()
+    """Return b, a vector or a single column of m finite entries, as a vector."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1 and b.shape[1:] != (1,):
+        raise ValueError(f"right-hand side must be a vector or a single column, got shape {b.shape}")
+    b = b.ravel()
     if b.size != m:
         raise ValueError(f"right-hand side has {b.size} entries, expected {m}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side entries must be finite")
     return b
 
 
@@ -181,70 +189,60 @@ class _Basis:
         return y, self.to_x(y)
 
 
-def _draw_mixed_basis(a, rng, num_mixes):
-    """Mix, sort and factor until the leading block is well conditioned.
-
-    Returns (v, f, r, draws, cond) for the first draw whose estimated
-    cond_2(R11) is at most _COND_LIMIT * m, or for the best of _MAX_DRAWS.
-    """
-    m = a.shape[0]
-    best = None
-    for draws in range(1, _MAX_DRAWS + 1):
+def _factor(a, method, k, rng, num_mixes):
+    """Draw and factor once for ``method``: (f, to_x) of a _Basis."""
+    if method in ("qr-overdet", "qr-basic"):
+        # no mixing at all: factor the leading k columns as they stand
+        return house_qr(a[:, :k]), np.copy
+    if method == "qrcp":
+        f = house_qrcp(a)
+        # y holds the coefficients of the columns perm: x[perm] = y
+        return f, lambda y: y[np.argsort(f.perm)]
+    if method == "rurv-haar-basic":
+        v = haar_operator(a.shape[1], rng)
+        f = house_qr(mix_apply(v, a, "right-transpose")[:, :k])
+    else:
         v, mixed, order = _mix_and_sort(a, num_mixes, rng)
-        # only the leading m sorted columns are factored; the rest never
-        # enter the triangular solve because their coefficients are zero
-        f = house_qr(mixed[:, order[:m]])
-        r = extract_r(f)[:m, :m]
+        # only the leading k sorted columns are factored (every column when
+        # m >= n); the rest never enter the triangular solve because their
+        # coefficients are zero
+        f = house_qr(mixed[:, order[:k]])
+    return f, lambda y: mix_apply(v, y, "left-transpose")
+
+
+def _basis(a, method, rng, num_mixes):
+    """Draw, factor and rank-check R11 until ``method`` has its _Basis.
+
+    method is one of OVERDETERMINED_METHODS or BASIC_METHODS; each public
+    solver checks that it got one of its own.  Only "rurv-ros-basic" draws
+    again, while its estimated cond_2(R11) exceeds _COND_LIMIT * m (see the
+    module docstring); every other method draws once, and its check raises.
+    """
+    m, n = a.shape
+    k = min(m, n)
+    rng = np.random.default_rng(rng)
+    # a tall mix keeps every column, so cond(R) = cond(A) for every draw and
+    # a redraw cannot help: "rurv-ros-overdet" is never checked or redrawn
+    checked = method == "rurv-ros-basic"
+    best = None
+    for draws in range(1, (_MAX_DRAWS if checked else 1) + 1):
+        f, to_x = _factor(a, method, k, rng, num_mixes)
+        r = extract_r(f)[:k, :k]
         try:
             _check_full_rank(np.diagonal(r))
         except RankDeficiencyError as exc:
             # a numerically singular R11 counts as cond = inf
             error = exc
             continue
-        cond = _cond2_estimate(r)
-        if best is None or cond < best[0]:
-            best = (cond, v, f, r)
-        if cond <= _COND_LIMIT * m:
+        cond = _cond2_estimate(r) if checked else None
+        if best is None or cond < best.cond_estimate:
+            best = _Basis(f, r, n, to_x, cond_estimate=cond)
+        if not checked or cond <= _COND_LIMIT * m:
             break
     if best is None:
         raise error
-    cond, v, f, r = best
-    return v, f, r, draws, cond
-
-
-def _basis(a, method, rng, num_mixes):
-    """Factor once and return the _Basis that ``method`` solves with.
-
-    method is one of OVERDETERMINED_METHODS or BASIC_METHODS; each public
-    solver checks that it got one of its own.
-    """
-    m, n = a.shape
-    k = min(m, n)
-    rng = np.random.default_rng(rng)
-    if method == "rurv-ros-basic":
-        v, f, r, draws, cond = _draw_mixed_basis(a, rng, num_mixes)
-        return _Basis(f, r, n, lambda y: mix_apply(v, y, "left-transpose"), draws, cond)
-    if method in ("qr-overdet", "qr-basic"):
-        # no mixing at all: factor the leading k columns as they stand
-        f = house_qr(a[:, :k])
-        to_x = np.copy
-    elif method == "rurv-ros-overdet":
-        # a tall mix keeps every column, so cond(R) = cond(A) for every
-        # draw and a redraw cannot help: no condition check here
-        fac = rurv_ros(a, num_mixes, rng)
-        f = fac.u
-        to_x = lambda y: mix_apply(fac.v, y, "left-transpose")
-    elif method == "qrcp":
-        f = house_qrcp(a)
-        # y holds the coefficients of the columns perm: x[perm] = y
-        to_x = lambda y: y[np.argsort(f.perm)]
-    elif method == "rurv-haar-basic":
-        v = haar_operator(n, rng)
-        f = house_qr(mix_apply(v, a, "right-transpose")[:, :k])
-        to_x = lambda y: mix_apply(v, y, "left-transpose")
-    r = extract_r(f)[:k, :k]
-    _check_full_rank(np.diagonal(r))
-    return _Basis(f, r, n, to_x)
+    best.draws = draws
+    return best
 
 
 def solve_basic(a, b, method="rurv-ros-basic", rng=None, num_mixes=1):

@@ -80,7 +80,8 @@ def mix_apply(v, x, mode):
     """Apply a mixing handle (dense matrix, HaarOperator or RosOperator) to x.
 
     mode is one of ros_apply's.  Vectors are promoted to a single column
-    (left modes) or row (right modes) and returned flat.
+    (left modes) or row (right modes) and returned flat.  The mixed axis of
+    x (rows in left modes, columns in right modes) must match the handle.
     """
     if mode not in _ROS_MODES:
         raise ValueError(f"mode must be one of {_ROS_MODES}, got {mode!r}")
@@ -89,6 +90,10 @@ def mix_apply(v, x, mode):
     right = mode.startswith("right")
     if vec:
         x = x[None, :] if right else x[:, None]
+    axis = 1 if right else 0
+    n = v.n if isinstance(v, RosOperator) else v.flips.size if isinstance(v, HaarOperator) else v.shape[0]
+    if x.shape[axis] != n:
+        raise ValueError(f"operand size {x.shape[axis]} along axis {axis} does not match operator dimension {n}")
     if isinstance(v, RosOperator):
         out = ros_apply(v, x, mode)
     elif isinstance(v, HaarOperator):

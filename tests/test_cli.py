@@ -213,6 +213,23 @@ def test_solve_shape_mismatch_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("method", ["qr-overdet", "rurv-ros-overdet"])
+def test_solve_bad_right_hand_side_is_usage_error(tmp_path, capsys, method):
+    # a NaN entry, or a 5 x 2 file whose 10 entries would ravel into a
+    # scrambled right-hand side
+    from mixfactor import write_matrix
+
+    a_path, b_path = make_system(tmp_path, m=10, n=6, seed=4)
+    nan_b = read_matrix(b_path)
+    nan_b[2, 0] = np.nan
+    for bad, message in [(nan_b, "right-hand side entries must be finite"),
+                         (np.ones((5, 2)), "right-hand side must be a vector or a single column")]:
+        write_matrix(b_path, bad)
+        rc = run_cli("solve", "--a", str(a_path), "--b", str(b_path), "--method", method)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exp
 

@@ -15,6 +15,8 @@ from mixfactor import (
     gen_correlated,
     haar_sample,
     house_qr,
+    mix_apply,
+    rurv_ros,
     solve_basic,
     solve_min_norm,
     solve_overdetermined,
@@ -57,17 +59,45 @@ def test_overdetermined_rejects_wide():
         solve_overdetermined(np.ones((2, 5)), np.ones(2))
 
 
-def test_overdetermined_rank_deficient_raises_with_index():
+@pytest.mark.parametrize("method", OVERDETERMINED_METHODS)
+def test_overdetermined_rank_deficient_raises_with_index(method):
     a = np.ones((6, 3))
     with pytest.raises(RankDeficiencyError) as info:
-        solve_overdetermined(a, np.ones(6))
+        solve_overdetermined(a, np.ones(6), method=method, rng=3)
     assert info.value.index == 1
+
+
+@pytest.mark.parametrize("num_mixes", [1, 2])
+def test_ros_overdet_solve_is_the_solve_of_rurv_ros(num_mixes):
+    # 300 x 200 runs past the 64-column panel and the 128-row recursion; the
+    # solver's own mix, sort and QR give the bits of rurv_ros's factor
+    a, b = random_system(300, 200, seed=52)
+    sol = solve_overdetermined(a, b, method="rurv-ros-overdet", rng=53, num_mixes=num_mixes)
+    fac = rurv_ros(a, num_mixes, np.random.default_rng(53))
+    y = back_substitute(fac.r[:200, :200], apply_qt(fac.u, b)[:200])
+    assert np.array_equal(sol.x, mix_apply(fac.v, y, "left-transpose"))
 
 
 def test_overdetermined_column_rhs():
     a, b = random_system(12, 5, seed=4)
     sol = solve_overdetermined(a, b[:, None])
     assert sol.x.shape == (5,)
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_solvers_reject_bad_right_hand_sides(method):
+    shape = (12, 5) if method in OVERDETERMINED_METHODS else (5, 12)
+    a, b = random_system(*shape, seed=54)
+    m = shape[0]
+    for bad, message in [
+        (np.where(np.arange(m) == 2, np.nan, b), "right-hand side entries must be finite"),
+        (np.where(np.arange(m) == 0, -np.inf, b), "right-hand side entries must be finite"),
+        (np.ones((m, 2)), rf"right-hand side must be a vector or a single column, got shape \({m}, 2\)"),
+        (np.ones((m, 1, 1)), "right-hand side must be a vector or a single column"),
+        (np.ones(m + 1), f"right-hand side has {m + 1} entries, expected {m}"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SOLVERS[method](a, bad, 55, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,18 @@ def test_mix_apply_rejects_unknown_mode_for_every_handle():
             mix_apply(v, a, "sideways")
 
 
+@pytest.mark.parametrize("mode", ["left", "left-transpose", "right", "right-transpose"])
+def test_mix_apply_checks_operand_size_for_every_handle(mode):
+    # one wording for every handle: the mixed axis and the operator dimension
+    axis = 1 if mode.startswith("right") else 0
+    block = random_matrix(*((3, 4) if axis else (4, 3)), seed=32)
+    ros = rurv_ros(random_matrix(5, 5, seed=33), rng=34).v
+    for v in (haar_sample(5, 35), haar_operator(5, 35), ros):
+        for x in (block, np.ones(4)):
+            with pytest.raises(ValueError, match=f"operand size 4 along axis {axis} does not match operator dimension 5"):
+                mix_apply(v, x, mode)
+
+
 def test_factorizations_deterministic_given_seed():
     a = random_matrix(9, 9, seed=29)
     assert_array_equal(rurv_ros(a, rng=30).r, rurv_ros(a, rng=30).r)
