@@ -17,8 +17,10 @@ and accepts the draw when the estimate is at most 10 m; otherwise it redraws
 the mix from the same generator, up to 3 draws in total, and keeps the
 best-conditioned one if none passes.  A draw whose R11 is numerically
 singular counts as kappa = inf; RankDeficiencyError is raised only when
-every draw is.  "rurv-haar-basic", the paper's reference method, stays a
-single draw: a Haar redraw costs another n x n QR, far more than the check.
+every draw is.  A nonsingular R11 whose inverse overflows the estimate also
+counts as kappa = inf, but can still be kept.  "rurv-haar-basic", the
+paper's reference method, stays a single draw: a Haar redraw costs another
+n x n QR, far more than the check.
 Every solve through a triangle R11 runs that loop (_basis), one factor step
 and one rank check a draw, but only "rurv-ros-basic" draws more than once.
 """
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError
 from .linalg import (
+    _PANEL,
     HouseholderQR,
     apply_q,
     apply_qt,
@@ -53,6 +56,10 @@ _MAX_DRAWS = 3
 # Condition estimate: block power iteration on R.T R and on (R.T R)^-1 with
 # _COND_BLOCK vectors, finished by a Rayleigh-Ritz step.  The soft upper
 # edge of the spectrum converges slowly, the hard lower edge in a few steps.
+# Every step applies R, R.T, R^-1 or R^-T by row blocks of linalg._PANEL
+# (_triangle_operators): the products read only the stored triangle, and
+# the solves multiply by R's diagonal-block inverses, formed once per
+# estimate, so the only loop over R's rows is the one that forms them.
 _COND_BLOCK = 4
 _POWER_STEPS = 20
 _INVERSE_STEPS = 4
@@ -97,29 +104,74 @@ def _largest_singular_value(apply, apply_t, m, steps):
     Block power iteration on apply_t(apply(.)) from a fixed start (the
     all-ones vector and the next low-frequency cosines), then the largest
     singular value of the operator restricted to the final block.  The
-    result is a lower bound that rises toward the true norm.
+    result is a lower bound that rises toward the true norm, or inf once a
+    product overflows.
     """
     p = min(_COND_BLOCK, m)
     x = np.cos(np.outer(np.arange(m) + 0.5, np.arange(p)) * (np.pi / m))
     for _ in range(steps):
-        x = form_q(house_qr(apply_t(apply(x))), "thin")
-    return float(jacobi_svd(apply(x), want_vectors=False).sigma[0])
+        y = apply_t(apply(x))
+        if not np.all(np.isfinite(y)):
+            return np.inf
+        x = form_q(house_qr(y), "thin")
+    y = apply(x)
+    if not np.all(np.isfinite(y)):
+        return np.inf
+    return float(jacobi_svd(y, want_vectors=False).sigma[0])
+
+
+def _triangle_operators(r):
+    """R x, R.T y, R^-1 x and R^-T y for an upper triangle R, by row blocks.
+
+    The blocks are _PANEL rows and columns.  The products read only the
+    stored triangle.  The solves are block substitutions: each inverts the
+    diagonal block of its block row with the inverse formed here once (one
+    back substitution per block, a loop over the m rows in all), so a solve
+    is two small matrix products per block row.  They are not backward
+    stable as a row-by-row substitution is, which the estimate does not need.
+    """
+    m = r.shape[0]
+    blocks = [(i, min(i + _PANEL, m)) for i in range(0, m, _PANEL)]
+    inverses = [back_substitute(r[i:e, i:e], np.eye(e - i)) for i, e in blocks]
+
+    def times(x):
+        return np.concatenate([r[i:e, i:] @ x[i:] for i, e in blocks])
+
+    def times_t(y):
+        return np.concatenate([r[:e, i:e].T @ y[:e] for i, e in blocks])
+
+    def solve(x):
+        y = np.empty_like(x)
+        for (i, e), inverse in zip(blocks[::-1], inverses[::-1]):
+            y[i:e] = inverse @ (x[i:e] - r[i:e, e:] @ y[e:])
+        return y
+
+    def solve_t(y):
+        x = np.empty_like(y)
+        for (i, e), inverse in zip(blocks, inverses):
+            x[i:e] = inverse.T @ (y[i:e] - r[:i, i:e].T @ x[:i])
+        return x
+
+    return times, times_t, solve, solve_t
 
 
 def _cond2_estimate(r):
     """Estimate cond_2 of a nonsingular upper triangle R without drawing randomness.
 
     ||R|| comes from power steps with R and R.T; ||R^-1|| from inverse steps,
-    each one forward substitution with R.T and one back substitution with R.
-    R is first scaled to unit largest entry: the inverse steps grow like
-    ||R^-1||^2, which overflows for a well-conditioned R of tiny scale.
+    each one solve with R.T and one with R.  All four operators work by row
+    blocks (_triangle_operators), the solves through R's diagonal-block
+    inverses, formed once per estimate.  R is first scaled to unit largest
+    entry: the inverse steps grow like ||R^-1||^2, which overflows for a
+    well-conditioned R of tiny scale.  An R^-1 too large for floating point
+    gives inf, judged like a singular R.
     """
     m = r.shape[0]
     r = r / np.max(np.abs(r))
-    norm = _largest_singular_value(lambda x: r @ x, lambda y: r.T @ y, m, _POWER_STEPS)
-    inv_norm = _largest_singular_value(
-        lambda x: forward_substitute(r.T, x), lambda y: back_substitute(r, y), m, _INVERSE_STEPS
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, times_t, solve, solve_t = _triangle_operators(r)
+        norm = _largest_singular_value(times, times_t, m, _POWER_STEPS)
+        inv_norm = _largest_singular_value(solve_t, solve, m, _INVERSE_STEPS)
     return norm * inv_norm
 
 

@@ -1,5 +1,7 @@
 """Least-squares solvers: overdetermined, basic, and minimum-norm routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,8 +13,10 @@ from mixfactor import (
     apply_qt,
     back_substitute,
     extract_r,
+    forward_substitute,
     gen_condition,
     gen_correlated,
+    gen_kahan,
     haar_sample,
     house_qr,
     mix_apply,
@@ -22,7 +26,7 @@ from mixfactor import (
     solve_overdetermined,
 )
 from mixfactor import cli, lstsq
-from mixfactor.lstsq import SOLVERS, _basis, _cond2_estimate
+from mixfactor.lstsq import SOLVERS, _basis, _cond2_estimate, _triangle_operators
 from mixfactor.rurv import _mix_and_sort
 
 
@@ -254,6 +258,73 @@ def test_cond_estimate_is_scale_free():
     # unless R is normalized first
     r = mixed_leading_triangle(60, 36)
     assert_allclose(_cond2_estimate(r * 1e-152), _cond2_estimate(r), rtol=1e-10)
+
+
+def row_loop_cond2_estimate(r):
+    """The estimate with dense products and row-by-row substitutions."""
+    m = r.shape[0]
+    r = r / np.max(np.abs(r))
+    norm = lstsq._largest_singular_value(lambda x: r @ x, lambda y: r.T @ y, m, lstsq._POWER_STEPS)
+    inv_norm = lstsq._largest_singular_value(
+        lambda x: forward_substitute(r.T, x), lambda y: back_substitute(r, y), m, lstsq._INVERSE_STEPS
+    )
+    return norm * inv_norm
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 1000])
+def test_cond_estimate_matches_row_loop_reference(m):
+    # orders on, around and past one _PANEL block and over many blocks
+    r = mixed_leading_triangle(m, 60 + m)
+    assert_allclose(_cond2_estimate(r), row_loop_cond2_estimate(r), rtol=1e-12)
+
+
+def test_cond_estimate_matches_row_loop_reference_when_ill_conditioned():
+    graded = extract_r(house_qr(gen_condition(150, 150, kappa=1e10, rng=35).a))
+    for r in (graded, gen_kahan(250)):
+        assert_allclose(_cond2_estimate(r), row_loop_cond2_estimate(r), rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [65, 300])
+@pytest.mark.parametrize("cols", [(4,), ()], ids=["block", "vector"])
+def test_triangle_operators_match_products_and_substitutions(m, cols):
+    r = mixed_leading_triangle(m, 61)
+    kept = r.copy()
+    x = np.random.default_rng(62).standard_normal((m, *cols))
+    times, times_t, solve, solve_t = _triangle_operators(r)
+    for got, want in [(times(x), r @ x), (times_t(x), r.T @ x),
+                      (solve(x), back_substitute(r, x)), (solve_t(x), forward_substitute(r.T, x))]:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    _cond2_estimate(r)
+    assert np.array_equal(r, kept)
+
+
+def test_cond_estimate_is_inf_when_the_inverse_overflows():
+    # unit diagonal passes the rank check, but R^-1 holds 2^(j-i-1) above
+    # its diagonal, past the float64 range at this order
+    m = 1100
+    r = np.eye(m) + np.triu(-np.ones((m, m)), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _cond2_estimate(r) == np.inf
+
+
+def test_ros_basic_redraws_a_draw_judged_inf(monkeypatch):
+    scripted = [np.inf, 20.0]
+    judged = []
+
+    def scripted_estimate(r):
+        judged.append(r)
+        return scripted[len(judged) - 1]
+
+    monkeypatch.setattr(lstsq, "_cond2_estimate", scripted_estimate)
+    a, b = random_system(30, 50, seed=63)
+    solve = _basis(a, "rurv-ros-basic", np.random.default_rng(64), 1)
+    assert solve.draws == len(judged) == 2
+    assert solve.r is judged[1]
+    assert solve.cond_estimate == 20.0
+    _, x = solve(b)
+    assert np.linalg.norm(a @ x - b) < 1e-11 * np.linalg.norm(b)
 
 
 def test_ros_basic_redraws_only_ill_conditioned_mixes():
