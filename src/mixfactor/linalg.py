@@ -347,9 +347,15 @@ def _apply_reflectors(f, b, transpose):
     vec = b.ndim == 1
     if vec:
         b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != m:
-        raise ValueError(f"operand has {b.shape[0]} rows, factorization has {m}")
-    x = b.copy()
+    # Q.T needs every row of its operand; Q takes [b; 0] from any b that
+    # covers the reflectors' leading rows
+    live = b.shape[0]
+    fewest = m if transpose else steps
+    if b.ndim != 2 or not fewest <= live <= m:
+        takes = m if transpose else f"{steps} to {m}"
+        raise ValueError(f"operand has {live} rows, factorization takes {takes}")
+    x = np.zeros((m, b.shape[1]))
+    x[:live] = b
     panels = list(zip(range(0, steps, _PANEL), _panel_ts(f)))
     # Q = H_0 H_1 ... H_steps-1: Q.T takes the panels first to last with T.T,
     # Q takes them last to first with T.
@@ -358,7 +364,11 @@ def _apply_reflectors(f, b, transpose):
         v = _reflectors(packed, steps, j0, j0 + d)
         t = t[:d, :d]
         rows = x[j0:]
-        rows -= v @ ((t.T if transpose else t) @ (v.T @ rows))
+        # rows past ``live`` are still zero and add nothing to V.T rows; the
+        # first panel's update fills them, so later panels see full rows
+        w = v[: live - j0].T @ rows[: live - j0]
+        rows -= v @ ((t.T if transpose else t) @ w)
+        live = m
     return x[:, 0] if vec else x
 
 
@@ -368,7 +378,12 @@ def apply_qt(f, b):
 
 
 def apply_q(f, b):
-    """Compute Q @ b panel by panel in compact WY form (Q never formed)."""
+    """Compute Q @ b panel by panel in compact WY form (Q never formed).
+
+    b may have fewer rows than Q, down to f.steps: it then stands for b
+    padded with zero rows to Q's height, [b; 0], and those zero rows are
+    never formed or multiplied.  The result always has Q's height.
+    """
     return _apply_reflectors(f, b, transpose=False)
 
 
@@ -381,7 +396,8 @@ def form_q(f, shape="full"):
         cols = min(m, n)
     else:
         raise ValueError(f'shape must be "full" or "thin", got {shape!r}')
-    return apply_q(f, np.eye(m, cols))
+    # the leading cols columns of Q are Q [I; 0]
+    return apply_q(f, np.eye(cols))
 
 
 def _check_diagonal(diag):

@@ -258,7 +258,7 @@ def _factor(a, method, k, rng, num_mixes):
         # only the leading k sorted columns are factored (every column when
         # m >= n); the rest never enter the triangular solve because their
         # coefficients are zero
-        f = house_qr(mixed[:, order[:k]])
+        f = house_qr(np.take(mixed, order[:k], axis=1))
     return f, lambda y: mix_apply(v, y, "left-transpose")
 
 
@@ -341,9 +341,8 @@ def solve_min_norm(a, b, rng=None, num_mixes=1):
     ldiag = np.diagonal(fac.l)
     _check_full_rank(ldiag)
     z = forward_substitute(fac.l[:m, :m], mix_apply(fac.v, b, "left"))
-    padded = np.zeros(n)
-    padded[:m] = z
-    x = apply_q(fac.u, padded)
+    # x = Q [z; 0], the zero rows never formed
+    x = apply_q(fac.u, z)
     return _finish(a, b, x, "rvlu-minnorm")
 
 

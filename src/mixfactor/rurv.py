@@ -158,7 +158,7 @@ def rurv_ros_partial(a, k, num_mixes=1, rng=None):
         raise ValueError(f"target rank must lie in [1, {min(m, n)}], got {k}")
     rng = np.random.default_rng(rng)
     v, mixed, order = _mix_and_sort(a, num_mixes, rng)
-    f = house_qr(mixed[:, order], steps=k)
+    f = house_qr(np.take(mixed, order, axis=1), steps=k)
     return UrvFactorization(u=f, r=extract_r(f), v=v)
 
 
@@ -184,14 +184,12 @@ def urv_reconstruct(fac):
 
     With k = u.steps this is A_k = U [R_k; 0] V = U [R_k V; 0], R_k the
     first k rows of R: V unmixes only those k rows, at the cost of the
-    rank, and U then acts on them padded with zeros to full height.  For a
-    full factorization k = min(m, n) and A_k = A.  ``fac.r`` is left as it
-    is.
+    rank, and U acts on those k rows alone (apply_q takes them as
+    [R_k V; 0]).  For a full factorization k = min(m, n) and A_k = A.
+    ``fac.r`` is left as it is.
     """
     k = fac.u.steps
-    padded = np.zeros(fac.r.shape)
-    padded[:k] = mix_apply(fac.v, fac.r[:k], "right")
-    return apply_q(fac.u, padded)
+    return apply_q(fac.u, mix_apply(fac.v, fac.r[:k], "right"))
 
 
 def vlu_reconstruct(fac):
@@ -199,9 +197,7 @@ def vlu_reconstruct(fac):
 
     V.T (L U) = (V.T L) U: V.T unmixes the min(m, n) columns of L, and U,
     the transposed thin Q of the packed factor, then acts on the result
-    through Q [(V.T L).T; 0].
+    through Q [(V.T L).T; 0], which apply_q forms from (V.T L).T alone.
     """
     w = mix_apply(fac.v, fac.l, "left-transpose")
-    padded = np.zeros((fac.u.packed.shape[0], w.shape[0]))
-    padded[: w.shape[1]] = w.T
-    return apply_q(fac.u, padded).T
+    return apply_q(fac.u, w.T).T

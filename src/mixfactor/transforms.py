@@ -1,8 +1,10 @@
 """Fast orthonormal DCT-II/DCT-III and the implicit random mixing operator.
 
-The DCTs ride on numpy's complex FFT (``np.fft``), one length-n transform
-per DCT whatever the length: a reorder and a quarter-sample twiddle turn
-the complex spectrum into the real cosine coefficients.
+The DCTs ride on numpy's real FFT (``np.fft.rfft`` and ``irfft``), one
+length-n transform per DCT whatever the length, which computes only the
+n // 2 + 1 bins a real input has (Makhoul 1980): a reorder and a
+quarter-sample twiddle turn that half spectrum into the n real cosine
+coefficients.
 
 A RosOperator represents the orthogonal mixing matrix
 
@@ -22,9 +24,13 @@ from .linalg import as_matrix
 
 
 def _dct_tables(n):
-    """Quarter-sample twiddle and orthonormal weights for length n."""
-    twiddle = np.exp(-1j * np.pi * np.arange(n) / (2 * n))
-    weights = np.full(n, np.sqrt(2.0 / n))
+    """Quarter-sample twiddle and orthonormal weight of the n // 2 + 1 real-FFT bins.
+
+    The weight of bin k is that of coefficient k, sqrt(1/n) for k = 0 and
+    sqrt(2/n) otherwise, which is also that of coefficient n - k.
+    """
+    twiddle = np.exp(-1j * np.pi * np.arange(n // 2 + 1) / (2 * n))
+    weights = np.full(twiddle.size, np.sqrt(2.0 / n))
     weights[0] = np.sqrt(1.0 / n)
     return twiddle, weights
 
@@ -32,38 +38,51 @@ def _dct_tables(n):
 def dct2(x, axis=-1):
     """Orthonormal DCT-II along ``axis``.
 
-    Computed with one complex FFT of the same length: the input is reordered
-    as (even entries, reversed odd entries) and the spectrum is rotated by a
-    quarter-sample phase.
+    Computed with one real FFT of the same length (Makhoul 1980): the input
+    is reordered as (even entries, reversed odd entries), and with V its
+    rfft and w_k = exp(-i pi k / 2n), coefficient k is Re(w_k V_k) for
+    k <= n/2 and coefficient n - k is -Im(w_k V_k), by V's conjugate
+    symmetry; the weights scale the twiddle.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
     y = np.moveaxis(x, axis, -1)
     v = np.concatenate((y[..., 0::2], y[..., 1::2][..., ::-1]), axis=-1)
     twiddle, weights = _dct_tables(n)
-    spec = np.fft.fft(v, axis=-1)
-    spec *= twiddle
-    c = spec.real * weights
-    return np.moveaxis(c, -1, axis)
+    spec = np.fft.rfft(v, axis=-1)
+    spec *= twiddle * weights
+    # v is spent once transformed and takes the coefficients: every fresh
+    # full-size array costs page faults on top of its pass
+    half = twiddle.size
+    v[..., :half] = spec.real
+    np.negative(spec.imag[..., n - half : 0 : -1], out=v[..., half:])
+    return np.moveaxis(v, -1, axis)
 
 
 def dct3(x, axis=-1):
-    """Orthonormal DCT-III along ``axis``; the exact inverse of dct2."""
+    """Orthonormal DCT-III along ``axis``; the exact inverse of dct2.
+
+    dct2 run backwards through one inverse real FFT: with c_k the input
+    divided by its weight, bin k of the half spectrum is
+    (c_k - i c_(n-k)) conj(w_k), c_n taken as 0; then irfft and the
+    inverse reorder.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
     y = np.moveaxis(x, axis, -1)
     twiddle, weights = _dct_tables(n)
-    c = y / weights
-    spec = np.empty(c.shape, dtype=np.complex128)
-    spec[..., 0] = c[..., 0]
-    if n > 1:
-        spec[..., 1:] = c[..., 1:] - 1j * c[..., :0:-1]
-    spec *= np.conj(twiddle)
-    v = np.real(np.fft.ifft(spec, axis=-1))
+    half = twiddle.size
+    spec = np.empty(y.shape[:-1] + (half,), dtype=np.complex128)
+    spec.real = y[..., :half]
+    spec.imag[..., 0] = 0.0
+    # at even n the last bin is k = n/2, whose partner n - k is itself
+    np.negative(y[..., : n - half : -1], out=spec.imag[..., 1:])
+    spec *= np.conj(twiddle) / weights
+    v = np.fft.irfft(spec, n=n, axis=-1)
     out = np.empty_like(y)
-    half = (n + 1) // 2
-    out[..., 0::2] = v[..., :half]
-    out[..., 1::2] = v[..., half:][..., ::-1]
+    evens = (n + 1) // 2
+    out[..., 0::2] = v[..., :evens]
+    out[..., 1::2] = v[..., evens:][..., ::-1]
     return np.moveaxis(out, -1, axis)
 
 
@@ -115,16 +134,13 @@ def ros_apply(v, a, mode):
         for signs in v.signs[::-1]:
             out = dct2(out * (signs if axis == 1 else signs[:, None]), axis=axis)
         if v.presort is not None:
-            out = out[:, v.presort] if axis == 1 else out[v.presort, :]
+            out = np.take(out, v.presort, axis=axis)
     else:
-        # a is only read: dct3 returns a new array before the signs scale it
-        out = a
-        if v.presort is not None:
-            out = np.empty_like(a)
-            if axis == 1:
-                out[:, v.presort] = a
-            else:
-                out[v.presort, :] = a
+        # a is only read: dct3 returns a new array before the signs scale it.
+        # The presort is undone by a gather with the inverse permutation,
+        # which numpy runs several times faster than the scatter
+        # out[:, v.presort] = a on a C-ordered block.
+        out = a if v.presort is None else np.take(a, np.argsort(v.presort), axis=axis)
         for signs in v.signs:
             out = dct3(out, axis=axis)
             out *= signs if axis == 1 else signs[:, None]

@@ -156,6 +156,32 @@ def test_kept_and_formed_panel_factors_agree_bit_for_bit(m, n, steps):
         assert_array_equal(form_q(f, shape), form_q(bare, shape))
 
 
+# k = 64 fills one panel, 65 and 130 start a second and a third, and the
+# shapes have more than _RECURSE_ROWS = 128 rows, so the panels are recursive
+@pytest.mark.parametrize("m,n", [(300, 200), (200, 300)])
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 130, None])
+def test_apply_q_of_short_operand_is_q_of_zero_padded_operand(m, n, k):
+    f = house_qr(random_matrix(m, n, seed=m + n), steps=k)
+    rng = np.random.default_rng(f.steps)
+    for rows in sorted({f.steps, f.steps + 7, m} & set(range(m + 1))):
+        for b in (rng.standard_normal(rows), rng.standard_normal((rows, 5))):
+            padded = np.zeros((m,) + b.shape[1:])
+            padded[:rows] = b
+            out = apply_q(f, b)
+            assert out.shape == padded.shape
+            assert np.max(np.abs(out - apply_q(f, padded))) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_short_operand_is_rejected_where_it_has_no_meaning():
+    f = house_qr(random_matrix(300, 200, seed=14), steps=65)
+    for rows in (64, 301):
+        with pytest.raises(ValueError, match=f"operand has {rows} rows"):
+            apply_q(f, np.ones((rows, 2)))
+    for rows in (65, 299):
+        with pytest.raises(ValueError, match=f"operand has {rows} rows"):
+            apply_qt(f, np.ones((rows, 2)))
+
+
 def test_pivoted_factor_forms_each_panel_factor_once(monkeypatch):
     f = house_qrcp(random_matrix(200, 150, seed=11))
     calls = []

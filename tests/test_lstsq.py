@@ -21,12 +21,13 @@ from mixfactor import (
     house_qr,
     mix_apply,
     rurv_ros,
+    rurv_ros_partial,
     solve_basic,
     solve_min_norm,
     solve_overdetermined,
 )
 from mixfactor import cli, lstsq
-from mixfactor.lstsq import SOLVERS, _basis, _cond2_estimate, _triangle_operators
+from mixfactor.lstsq import SOLVERS, _basis, _cond2_estimate, _factor, _triangle_operators
 from mixfactor.rurv import _mix_and_sort
 
 
@@ -449,3 +450,16 @@ def test_solvers_entry_equals_direct_call(method):
     mapped = SOLVERS[method](a, b, 50, 2)
     assert mapped.method == method
     assert np.array_equal(mapped.x, direct.x)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_mixed_column_gathers_equal_fancy_indexing(layout):
+    # rurv_ros_partial and the ROS solves gather the sorted mixed columns
+    # with np.take, a plain copy: the factors must be those of the
+    # fancy-indexed gather, bit for bit
+    a = np.asarray(np.random.default_rng(41).standard_normal((150, 260)), order=layout)
+    _, mixed, order = _mix_and_sort(a, 2, np.random.default_rng(42))
+    part = rurv_ros_partial(a, 70, 2, np.random.default_rng(42))
+    assert np.array_equal(part.u.packed, house_qr(mixed[:, order], steps=70).packed)
+    f, _ = _factor(a, "rurv-ros-basic", 150, np.random.default_rng(42), 2)
+    assert np.array_equal(f.packed, house_qr(mixed[:, order[:150]]).packed)

@@ -32,6 +32,17 @@ def dct2_oracle(x):
     return weights * (table @ x)
 
 
+def dct3_oracle(c):
+    """The transposed cosine table applied to the weighted coefficients."""
+    n = c.size
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    table = np.cos(np.pi * k * (2 * j + 1) / (2.0 * n))
+    weights = np.full(n, np.sqrt(2.0 / n))
+    weights[0] = np.sqrt(1.0 / n)
+    return table.T @ (weights * c)
+
+
 # ---------------------------------------------------------------------------
 # DCT
 
@@ -40,6 +51,36 @@ def dct2_oracle(x):
 def test_dct2_matches_cosine_sum(n):
     x = np.random.default_rng(n + 1000).standard_normal(n)
     assert_allclose(dct2(x), dct2_oracle(x), atol=1e-12 * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("n", CRITERION_LENGTHS + LARGE_LENGTHS)
+def test_dct3_matches_transposed_cosine_table(n):
+    x = np.random.default_rng(n + 3000).standard_normal(n)
+    assert_allclose(dct3(x), dct3_oracle(x), atol=1e-12 * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("shape", [(1000, 3), (1009, 3), (1500, 2)])
+def test_dct_along_axis_0_of_large_blocks(shape):
+    # the real-FFT kernels transform along the last axis of a moved view;
+    # along axis 0 each column must come out as its own 1-D transform
+    x = np.random.default_rng(shape[0]).standard_normal(shape)
+    for dct in (dct2, dct3):
+        out = dct(x, axis=0)
+        assert out.shape == shape
+        for j in range(shape[1]):
+            assert_allclose(out[:, j], dct(x[:, j]), atol=1e-14 * np.linalg.norm(x[:, j]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 1024])
+def test_dct_even_length_nyquist_coefficient(n):
+    # coefficient n/2 is real-FFT bin n/2, its own conjugate partner; its
+    # basis vector is sqrt(2/n) cos(pi (2j + 1) / 4) = +-1/sqrt(n) in the
+    # sign pattern + - - + + - - + ...
+    basis = np.where(np.isin(np.arange(n) % 4, (0, 3)), 1.0, -1.0) / np.sqrt(n)
+    unit = np.zeros(n)
+    unit[n // 2] = 1.0
+    assert_allclose(dct3(unit), basis, atol=1e-15)
+    assert_allclose(dct2(basis), unit, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", CRITERION_LENGTHS + LARGE_LENGTHS)
@@ -139,6 +180,32 @@ def test_ros_apply_leaves_input_unmodified(mode, presort):
     out = ros_apply(op, a, mode)
     assert np.array_equal(a, before)
     assert not np.shares_memory(out, a)
+
+
+@pytest.mark.parametrize("mode", ["right-transpose", "right", "left", "left-transpose"])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_ros_apply_presort_equals_fancy_indexing(mode, layout):
+    # the presort is a gather (np.take) on the way out and a gather by the
+    # inverse permutation on the way in; both are plain copies, so they
+    # must give the bits of the fancy-indexed gather and scatter
+    rng = np.random.default_rng(13)
+    n = 300
+    op = ros_sample(n, 2, rng)
+    perm = rng.permutation(n)
+    right = mode.startswith("right")
+    a = np.asarray(rng.standard_normal((70, n) if right else (n, 70)), order=layout)
+    if mode in ("right-transpose", "left"):
+        out = ros_apply(op, a, mode)
+        expected = out[:, perm] if right else out[perm, :]
+    else:
+        unsorted = np.empty_like(a)
+        if right:
+            unsorted[:, perm] = a
+        else:
+            unsorted[perm, :] = a
+        expected = ros_apply(op, unsorted, mode)
+    op.presort = perm
+    assert np.array_equal(ros_apply(op, a, mode), expected)
 
 
 def test_ros_apply_inverts():
