@@ -182,14 +182,17 @@ def cmd_factor(args):
     if args.rank is not None and not 1 <= args.rank <= min(a.shape):
         raise ValueError(f"--rank must lie in [1, {min(a.shape)}], got {args.rank}")
     t0 = time.perf_counter()
+    # the diagonal of R (of L for rvlu-ros) is the diagonal of the packed factor
     if args.rank is not None:
-        r = rurv_ros_partial(a, args.rank, args.mixes, rng).r
+        r = rurv_ros_partial(a, args.rank, args.mixes, rng).u.packed
     elif args.method == "rvlu-ros":
-        r = rvlu_ros(a, args.mixes, rng).l.T
+        r = rvlu_ros(a, args.mixes, rng).u.packed
     else:
         r = FIRST_FACTORIZATIONS[args.method](a, args.mixes, rng)
     elapsed = _elapsed_since(t0, args)
     values = np.abs(np.diagonal(r))[: args.rank]
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("factor has a non-finite diagonal entry")
     config = {
         "subcommand": "factor",
         "infile": args.infile,

@@ -198,6 +198,5 @@ def qlp(a, first="qrcp", num_mixes=1, rng=None):
         raise ValueError(f"first must be one of {tuple(FIRST_FACTORIZATIONS)}, got {first!r}")
     r = FIRST_FACTORIZATIONS[first](a, num_mixes, rng)
     r = r[: min(r.shape), :]
-    second = house_qr(r.T)
-    l_values = np.abs(np.diagonal(extract_r(second)))
+    l_values = np.abs(np.diagonal(house_qr(r.T).packed))
     return QlpReport(l_values=np.sort(l_values)[::-1], first_factorization=first)

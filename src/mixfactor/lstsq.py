@@ -4,7 +4,8 @@ Three problem shapes are covered: overdetermined solves (m >= n), basic
 solutions of underdetermined systems (m < n, trailing coefficients pinned to
 zero before unmixing), and minimum-norm solutions via the VLU factorization.
 Every solver checks the triangular factor for numerical rank deficiency and
-raises instead of silently truncating.
+raises instead of silently truncating, and raises NumericalError when an
+overflow leaves the factor or the solution non-finite.
 
 Extension beyond the paper: "rurv-ros-basic" is a checked-and-redrawn (Las
 Vegas) algorithm.  The paper takes the first mix as it comes, but the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import NumericalError, RankDeficiencyError
 from .linalg import (
     _PANEL,
     HouseholderQR,
@@ -38,7 +39,6 @@ from .linalg import (
     apply_qt,
     as_matrix,
     back_substitute,
-    extract_r,
     form_q,
     forward_substitute,
     house_qr,
@@ -73,10 +73,10 @@ class LsSolution:
     """Solution vector with its residual and solution norms.
 
     residual_norm is ||A x - b||_2 recomputed from the returned x, not the
-    solver's internal estimate.  draws counts the mixes the solver drew,
-    the kept one included; cond_estimate is its estimate of the 2-norm
-    condition number of the triangle it solved with, or None for solvers
-    that do not estimate it.
+    solver's internal estimate; both norms are computed scale-safely.
+    draws counts the mixes the solver drew, the kept one included;
+    cond_estimate is its estimate of the 2-norm condition number of the
+    triangle it solved with, or None for solvers that do not estimate it.
     """
 
     x: np.ndarray
@@ -88,7 +88,14 @@ class LsSolution:
 
 
 def _check_full_rank(diag):
-    """Raise if any |diag[i]| falls under n*eps*|diag[0]|."""
+    """Raise if any |diag[i]| falls under n*eps*|diag[0]|, or is not finite.
+
+    A non-finite entry comes from an overflow in the factorization: it is a
+    NumericalError, which a redraw cannot cure, not a rank deficiency.
+    """
+    if not np.all(np.isfinite(diag)):
+        index = int(np.flatnonzero(~np.isfinite(diag))[0])
+        raise NumericalError(f"triangular factor has a non-finite diagonal entry at index {index}")
     n = diag.size
     ref = abs(diag[0])
     if ref == 0.0:
@@ -175,12 +182,30 @@ def _cond2_estimate(r):
     return norm * inv_norm
 
 
+def _norm(v):
+    """||v||_2 of a finite vector, safe from overflow and underflow in the squares.
+
+    While max|v_i| lies in [2^-500, 2^500] this is np.linalg.norm(v), bit
+    for bit: for fewer than 2^23 entries the sum of squares cannot
+    overflow, and a square that underflows errs by at most 2^-1074, far
+    below the rounding of the largest square.  Outside that band v is
+    divided by 2^e, e the exponent of max|v_i|, which is exact but for
+    entries too small to count, and the norm is multiplied back.
+    """
+    top = float(np.max(np.abs(v)))
+    if top == 0.0 or 2.0**-500 <= top <= 2.0**500:
+        return float(np.linalg.norm(v))
+    scale = np.ldexp(1.0, int(np.frexp(top)[1]))
+    return float(scale * np.linalg.norm(v / scale))
+
+
 def _finish(a, b, x, method, draws=1, cond_estimate=None):
-    residual = float(np.linalg.norm(a @ x - b))
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{method} gave a non-finite solution")
     return LsSolution(
         x=x,
-        residual_norm=residual,
-        solution_norm=float(np.linalg.norm(x)),
+        residual_norm=_norm(a @ x - b),
+        solution_norm=_norm(x),
         method=method,
         draws=draws,
         cond_estimate=cond_estimate,
@@ -242,7 +267,11 @@ class _Basis:
 
 
 def _factor(a, method, k, rng, num_mixes):
-    """Draw and factor once for ``method``: (f, to_x) of a _Basis."""
+    """Draw and factor once for ``method``: (f, to_x) of a _Basis.
+
+    f has taken k elimination steps, so the upper triangle of
+    f.packed[:k, :k] is R11.
+    """
     if method in ("qr-overdet", "qr-basic"):
         # no mixing at all: factor the leading k columns as they stand
         return house_qr(a[:, :k]), np.copy
@@ -254,11 +283,11 @@ def _factor(a, method, k, rng, num_mixes):
         v = haar_operator(a.shape[1], rng)
         f = house_qr(mix_apply(v, a, "right-transpose")[:, :k])
     else:
-        v, mixed, order = _mix_and_sort(a, num_mixes, rng)
-        # only the leading k sorted columns are factored (every column when
-        # m >= n); the rest never enter the triangular solve because their
-        # coefficients are zero
-        f = house_qr(np.take(mixed, order[:k], axis=1))
+        # only the leading k sorted columns are gathered and factored (every
+        # column when m >= n); the rest never enter the triangular solve
+        # because their coefficients are zero
+        v, block = _mix_and_sort(a, k, num_mixes, rng)
+        f = house_qr(block)
     return f, lambda y: mix_apply(v, y, "left-transpose")
 
 
@@ -279,7 +308,7 @@ def _basis(a, method, rng, num_mixes):
     best = None
     for draws in range(1, (_MAX_DRAWS if checked else 1) + 1):
         f, to_x = _factor(a, method, k, rng, num_mixes)
-        r = extract_r(f)[:k, :k]
+        r = np.triu(f.packed[:k, :k])
         try:
             _check_full_rank(np.diagonal(r))
         except RankDeficiencyError as exc:
@@ -338,9 +367,9 @@ def solve_min_norm(a, b, rng=None, num_mixes=1):
         raise ValueError(f"solve_min_norm needs m < n, got {a.shape}")
     b = _as_rhs(b, m)
     fac = rvlu_ros(a, num_mixes, rng)
-    ldiag = np.diagonal(fac.l)
-    _check_full_rank(ldiag)
-    z = forward_substitute(fac.l[:m, :m], mix_apply(fac.v, b, "left"))
+    l = fac.l
+    _check_full_rank(np.diagonal(l))
+    z = forward_substitute(l, mix_apply(fac.v, b, "left"))
     # x = Q [z; 0], the zero rows never formed
     x = apply_q(fac.u, z)
     return _finish(a, b, x, "rvlu-minnorm")

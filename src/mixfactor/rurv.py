@@ -19,29 +19,39 @@ from .transforms import _ROS_MODES, RosOperator, ros_apply, ros_sample
 class UrvFactorization:
     """A = U R V.
 
-    u : packed Householder factorization whose Q is U; u.steps is the
-        number of elimination steps performed
-    r : full-height (m, n) triangular factor; after a partial
-        factorization rows >= u.steps still hold the unreduced trailing
-        block
+    u : packed Householder factorization whose Q is U and whose upper
+        triangle holds R; u.steps is the number of elimination steps
+        performed
     v : dense orthogonal matrix or RosOperator
+
+    R is kept only in u.packed.  ``r`` builds the full-height (m, n) R from
+    it (extract_r) each time it is read; after a partial factorization its
+    rows >= u.steps still hold the unreduced trailing block.
     """
 
     u: HouseholderQR
-    r: np.ndarray
     v: "np.ndarray | RosOperator"
+
+    @property
+    def r(self):
+        return extract_r(self.u)
 
 
 @dataclass
 class VluFactorization:
     """A = V.T L U with L lower triangular and U having orthonormal rows.
 
-    u is the packed QR of the mixed transpose; its thin Q, transposed, is U.
+    u is the packed QR of the mixed transpose; its thin Q, transposed, is U,
+    and its R, transposed, is L.  ``l`` is that transpose, a view of the
+    leading min(m, n) rows of extract_r(u), built each time it is read.
     """
 
     v: RosOperator
-    l: np.ndarray
     u: HouseholderQR
+
+    @property
+    def l(self):
+        return extract_r(self.u)[: min(self.u.shape), :].T
 
 
 @dataclass
@@ -115,22 +125,21 @@ def rurv_haar(a, rng=None):
     """Randomized URV with dense Haar mixing: QR of A @ V.T."""
     a = as_matrix(a)
     v = haar_sample(a.shape[1], rng)
-    f = house_qr(a @ v.T)
-    return UrvFactorization(u=f, r=extract_r(f), v=v)
+    return UrvFactorization(u=house_qr(a @ v.T), v=v)
 
 
-def _mix_and_sort(a, num_mixes, rng):
-    """Mix the columns of A; return (v, mixed, order).
+def _mix_and_sort(a, cols, num_mixes, rng):
+    """Mix the columns of A and sort them; return (v, block).
 
-    ``order`` lists the mixed columns by decreasing 2-norm (stable) and is
-    also folded into v as its presort.  Callers gather the sorted columns
-    they factor, mixed[:, order] or a leading part of it.
+    The mixed columns are ordered by decreasing 2-norm (stable), and that
+    order is folded into v as its presort.  block holds the leading ``cols``
+    of the sorted columns, gathered once: the part of A V.T a caller factors.
     """
     v = ros_sample(a.shape[1], num_mixes, rng)
     mixed = ros_apply(v, a, "right-transpose")
     norms = np.linalg.norm(mixed, axis=0)
     v.presort = np.argsort(-norms, kind="stable")
-    return v, mixed, v.presort
+    return v, np.take(mixed, v.presort[:cols], axis=1)
 
 
 def rurv_ros(a, num_mixes=1, rng=None):
@@ -148,18 +157,17 @@ def rurv_ros(a, num_mixes=1, rng=None):
 def rurv_ros_partial(a, k, num_mixes=1, rng=None):
     """Rank-k partial RURV: identical mixing, only k elimination steps.
 
-    With k = min(m, n) this is rurv_ros by construction: rurv_ros calls it
-    with that k.  Rows of ``r`` past the first k hold the unreduced trailing
-    block rather than zeros.
+    All n sorted columns are factored, so with k = min(m, n) this is
+    rurv_ros by construction: rurv_ros calls it with that k.  Rows of ``r``
+    past the first k hold the unreduced trailing block rather than zeros.
     """
     a = as_matrix(a)
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"target rank must lie in [1, {min(m, n)}], got {k}")
     rng = np.random.default_rng(rng)
-    v, mixed, order = _mix_and_sort(a, num_mixes, rng)
-    f = house_qr(np.take(mixed, order, axis=1), steps=k)
-    return UrvFactorization(u=f, r=extract_r(f), v=v)
+    v, block = _mix_and_sort(a, n, num_mixes, rng)
+    return UrvFactorization(u=house_qr(block, steps=k), v=v)
 
 
 def rvlu_ros(a, num_mixes=1, rng=None):
@@ -170,13 +178,10 @@ def rvlu_ros(a, num_mixes=1, rng=None):
     applied; row mixing alone is what the minimum-norm solver needs.
     """
     a = as_matrix(a)
-    m, n = a.shape
     rng = np.random.default_rng(rng)
-    v = ros_sample(m, num_mixes, rng)
+    v = ros_sample(a.shape[0], num_mixes, rng)
     mixed = ros_apply(v, a, "left")
-    f = house_qr(mixed.T)
-    l = extract_r(f)[: min(m, n), :].T
-    return VluFactorization(v=v, l=l, u=f)
+    return VluFactorization(v=v, u=house_qr(mixed.T))
 
 
 def urv_reconstruct(fac):
@@ -186,10 +191,11 @@ def urv_reconstruct(fac):
     first k rows of R: V unmixes only those k rows, at the cost of the
     rank, and U acts on those k rows alone (apply_q takes them as
     [R_k V; 0]).  For a full factorization k = min(m, n) and A_k = A.
-    ``fac.r`` is left as it is.
+    R_k is read from the packed factor, whose first k rows hold it on and
+    above the diagonal.
     """
     k = fac.u.steps
-    return apply_q(fac.u, mix_apply(fac.v, fac.r[:k], "right"))
+    return apply_q(fac.u, mix_apply(fac.v, np.triu(fac.u.packed[:k]), "right"))
 
 
 def vlu_reconstruct(fac):

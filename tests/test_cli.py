@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mixfactor import column_norm_stats, gen_heavytail, gen_kahan, haar_sample, read_matrix
-from mixfactor.cli import _build_parser, _family_sigma, _parse_sizes, main
+from mixfactor.cli import FACTOR_METHODS, SOLVE_METHODS, _build_parser, _family_sigma, _parse_sizes, main
 
 
 def run_cli(*argv):
@@ -204,6 +204,51 @@ def test_solve_singular_system_is_numerical_failure(tmp_path, capsys):
                  "--method", "qr-overdet")
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def write_overflowing_system(tmp_path, m, n):
+    """A Gaussian system times 1e155, where the QR's squared norms overflow."""
+    from mixfactor import write_matrix
+
+    rng = np.random.default_rng(5)
+    a_path, b_path = tmp_path / "a.mm", tmp_path / "b.mm"
+    write_matrix(a_path, 1e155 * rng.standard_normal((m, n)))
+    write_matrix(b_path, 1e155 * rng.standard_normal(m))
+    return a_path, b_path
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("method", list(SOLVE_METHODS))
+def test_overflowing_solve_is_numerical_failure(tmp_path, capsys, method):
+    shape = (30, 20) if method in ("qr-overdet", "rurv-ros-overdet") else (20, 30)
+    a_path, b_path = write_overflowing_system(tmp_path, *shape)
+    out = tmp_path / "s.csv"
+    rc = run_cli("solve", "--a", str(a_path), "--b", str(b_path), "--method", method, "--out", str(out))
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--method", m] for m in FACTOR_METHODS] + [["--rank", "5"]])
+def test_overflowing_factor_is_numerical_failure(tmp_path, capsys, flags):
+    a_path, _ = write_overflowing_system(tmp_path, 20, 30)
+    assert run_cli("factor", "--in", str(a_path), *flags) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert captured.out == ""
+
+
+def test_overflowing_solve_exits_3_from_the_console(tmp_path):
+    a_path, b_path = write_overflowing_system(tmp_path, 20, 30)
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "mixfactor.cli", "solve",
+         "--a", str(a_path), "--b", str(b_path), "--method", "rurv-ros-basic", "--no-timestamp"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "mixfactor: numerical failure" in proc.stderr
 
 
 def test_solve_shape_mismatch_is_usage_error(tmp_path):

@@ -17,6 +17,7 @@ from mixfactor import (
     rurv_ros,
     rvalue_ratios,
 )
+from mixfactor.diagnostics import FIRST_FACTORIZATIONS
 
 
 def test_rr_conditions_diagonal_matrix():
@@ -169,3 +170,16 @@ def test_kahan_rvalues_underestimate_badly_without_pivot_help():
     report = rvalue_ratios(a, sigma)  # A is already upper triangular
     assert report.max > 1e2
     assert report.max <= report.upper_bound * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("m,n", [(300, 200), (200, 300)])
+@pytest.mark.parametrize("first", list(FIRST_FACTORIZATIONS))
+def test_qlp_l_values_are_the_diagonal_of_the_second_r(first, m, n, layout):
+    # read from the second QR's packed factor, they hold extract_r's bits
+    a = np.asarray(np.random.default_rng(m + n).standard_normal((m, n)), order=layout)
+    report = qlp(a, first, 2, np.random.default_rng(5))
+    r = FIRST_FACTORIZATIONS[first](a, 2, np.random.default_rng(5))
+    r = r[: min(r.shape), :]
+    want = np.sort(np.abs(np.diagonal(extract_r(house_qr(r.T)))))[::-1]
+    assert np.array_equal(report.l_values, want)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from mixfactor import (
     BASIC_METHODS,
     OVERDETERMINED_METHODS,
+    NumericalError,
     RankDeficiencyError,
     apply_qt,
     back_substitute,
@@ -20,6 +21,8 @@ from mixfactor import (
     haar_sample,
     house_qr,
     mix_apply,
+    ros_apply,
+    ros_sample,
     rurv_ros,
     rurv_ros_partial,
     solve_basic,
@@ -27,7 +30,7 @@ from mixfactor import (
     solve_overdetermined,
 )
 from mixfactor import cli, lstsq
-from mixfactor.lstsq import SOLVERS, _basis, _cond2_estimate, _factor, _triangle_operators
+from mixfactor.lstsq import SOLVERS, _basis, _cond2_estimate, _factor, _finish, _triangle_operators
 from mixfactor.rurv import _mix_and_sort
 
 
@@ -103,6 +106,52 @@ def test_solvers_reject_bad_right_hand_sides(method):
     ]:
         with pytest.raises(ValueError, match=message):
             SOLVERS[method](a, bad, 55, 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_overflowing_factor_is_a_numerical_failure(method):
+    # at 1e155 the squared column norms overflow inside the QR, so R's
+    # diagonal is not finite; the solve raises before any unmix, and the
+    # ROS basic solve does not redraw
+    shape = (30, 20) if method in OVERDETERMINED_METHODS else (20, 30)
+    a, b = random_system(*shape, seed=56)
+    with pytest.raises(NumericalError, match="non-finite diagonal entry") as info:
+        SOLVERS[method](1e155 * a, 1e155 * b, 57, 1)
+    assert not isinstance(info.value, RankDeficiencyError)
+
+
+def test_non_finite_solution_is_a_numerical_failure():
+    a, b = random_system(6, 4, seed=58)
+    with pytest.raises(NumericalError, match="qr-overdet gave a non-finite solution"):
+        _finish(a, b, np.array([1.0, np.inf, 0.0, 2.0]), "qr-overdet")
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200])
+@pytest.mark.parametrize("scale_a", [False, True])
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_norms_are_right_far_below_one(method, scale, scale_a):
+    # the squares of entries this small underflow: an unscaled norm reads 0
+    shape = (30, 20) if method in OVERDETERMINED_METHODS else (20, 30)
+    a, b = random_system(*shape, seed=59)
+    a = scale * a if scale_a else a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = SOLVERS[method](a, scale * b, 60, 1)
+    residual = a @ sol.x - scale * b
+    x_scale = 1.0 if scale_a else scale
+    assert sol.residual_norm > 0.0
+    assert_allclose(sol.residual_norm, scale * np.linalg.norm(residual / scale), rtol=4 * np.finfo(float).eps)
+    assert_allclose(sol.solution_norm, x_scale * np.linalg.norm(sol.x / x_scale), rtol=4 * np.finfo(float).eps)
+
+
+def test_norms_keep_their_bits_in_range():
+    # inside the safe band the norms are np.linalg.norm's, bit for bit
+    for seed, scale in [(61, 1.0), (62, 1e-140), (63, 1e140)]:
+        a, b = random_system(40, 25, seed=seed)
+        sol = solve_overdetermined(scale * a, scale * b, method="qr-overdet")
+        assert sol.residual_norm == float(np.linalg.norm(scale * a @ sol.x - scale * b))
+        assert sol.solution_norm == float(np.linalg.norm(sol.x))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +284,8 @@ def test_correlated_wide_system_all_methods_small_residual():
 def mixed_leading_triangle(m, seed):
     """R11 of a mixed, sorted Gaussian m x 1.5m block: what the redraw rule judges."""
     rng = np.random.default_rng(seed)
-    _, mixed, order = _mix_and_sort(rng.standard_normal((m, m + m // 2)), 1, rng)
-    return extract_r(house_qr(mixed[:, order[:m]]))[:m, :m]
+    _, block = _mix_and_sort(rng.standard_normal((m, m + m // 2)), m, 1, rng)
+    return extract_r(house_qr(block))[:m, :m]
 
 
 @pytest.mark.parametrize("m, seed", [(200, 30), (200, 31), (200, 32), (1000, 33), (1000, 34)])
@@ -458,8 +507,41 @@ def test_mixed_column_gathers_equal_fancy_indexing(layout):
     # with np.take, a plain copy: the factors must be those of the
     # fancy-indexed gather, bit for bit
     a = np.asarray(np.random.default_rng(41).standard_normal((150, 260)), order=layout)
-    _, mixed, order = _mix_and_sort(a, 2, np.random.default_rng(42))
+    mixed, order = unsorted_mix(a, 2, 42)
     part = rurv_ros_partial(a, 70, 2, np.random.default_rng(42))
     assert np.array_equal(part.u.packed, house_qr(mixed[:, order], steps=70).packed)
     f, _ = _factor(a, "rurv-ros-basic", 150, np.random.default_rng(42), 2)
     assert np.array_equal(f.packed, house_qr(mixed[:, order[:150]]).packed)
+
+
+def unsorted_mix(a, num_mixes, seed):
+    """A V.T before the presort, and the stable order by decreasing column norm."""
+    mixed = ros_apply(ros_sample(a.shape[1], num_mixes, np.random.default_rng(seed)), a, "right-transpose")
+    return mixed, np.argsort(-np.linalg.norm(mixed, axis=0), kind="stable")
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("cols", [1, 150, 259])
+def test_mix_and_sort_gathers_the_leading_sorted_columns(cols, layout):
+    a = np.asarray(np.random.default_rng(43).standard_normal((150, 260)), order=layout)
+    v, block = _mix_and_sort(a, cols, 2, np.random.default_rng(44))
+    mixed, order = unsorted_mix(a, 2, 44)
+    assert np.array_equal(v.presort, order)
+    assert np.array_equal(block, mixed[:, order[:cols]])
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("num_mixes", [1, 2])
+@pytest.mark.parametrize("method", OVERDETERMINED_METHODS + BASIC_METHODS)
+def test_basis_triangle_is_the_leading_block_of_r(method, num_mixes, layout):
+    # R11 read from the packed factor holds the bits of extract_r's leading
+    # block, and the triangular solve through it gives the same bits
+    m, n = (300, 200) if method in OVERDETERMINED_METHODS else (200, 300)
+    a, b = random_system(m, n, seed=64)
+    a = np.asarray(a, order=layout)
+    k = min(m, n)
+    solve = _basis(a, method, np.random.default_rng(65), num_mixes)
+    r11 = extract_r(solve.f)[:k, :k]
+    assert np.array_equal(solve.r, r11)
+    y, _ = solve(b)
+    assert np.array_equal(y[:k], back_substitute(r11, apply_qt(solve.f, b)[:k]))

@@ -7,13 +7,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mixfactor import (
     HaarOperator,
     RosOperator,
+    apply_q,
+    extract_r,
     form_q,
     haar_operator,
     haar_sample,
+    house_qr,
     jacobi_svd,
     mix_apply,
     ros_apply,
     ros_dense,
+    ros_sample,
     rurv_haar,
     rurv_ros,
     rurv_ros_partial,
@@ -170,6 +174,40 @@ def test_vlu_reconstruct_matches_dense_product_past_one_panel(m, n):
     assert_allclose(out, dense, rtol=0, atol=1e-13 * np.linalg.norm(a))
     assert_allclose(out, a, rtol=0, atol=1e-13 * np.linalg.norm(a))
     assert_array_equal(fac.l, l_before)
+
+
+def assert_same_array(got, want):
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("m,n", [(300, 200), (200, 300)])
+def test_r_and_l_are_read_from_the_packed_factor(m, n, layout):
+    # R is stored once, in u.packed: each factorization packs the QR of its
+    # mixed matrix written out here, r and l read as extract_r's R did when
+    # the records stored it (l a transposed view), and both reconstructs
+    # give the bits of the products through that stored R
+    a = np.asarray(random_matrix(m, n, seed=m + 4 * n), order=layout)
+    mixed = ros_apply(ros_sample(n, 2, np.random.default_rng(43)), a, "right-transpose")
+    order = np.argsort(-np.linalg.norm(mixed, axis=0), kind="stable")
+    cases = [(rurv_haar(a, rng=42), house_qr(a @ haar_sample(n, 42).T).packed),
+             (rurv_ros(a, 2, rng=43), house_qr(mixed[:, order]).packed)]
+    cases += [(rurv_ros_partial(a, k, 2, rng=43), house_qr(mixed[:, order], steps=k).packed)
+              for k in (1, 63, 64, 65, 130)]
+    for fac, packed in cases:
+        assert set(vars(fac)) == {"u", "v"}
+        assert np.array_equal(fac.u.packed, packed)
+        assert_same_array(fac.r, extract_r(fac.u))
+        r_k = extract_r(fac.u)[: fac.u.steps]
+        assert_same_array(urv_reconstruct(fac), apply_q(fac.u, mix_apply(fac.v, r_k, "right")))
+    fac = rvlu_ros(a, 2, rng=44)
+    assert set(vars(fac)) == {"v", "u"}
+    mixed_rows = ros_apply(ros_sample(m, 2, np.random.default_rng(44)), a, "left")
+    assert np.array_equal(fac.u.packed, house_qr(mixed_rows.T).packed)
+    l = extract_r(fac.u)[: min(m, n), :].T
+    assert_same_array(fac.l, l)
+    assert_same_array(vlu_reconstruct(fac), apply_q(fac.u, mix_apply(fac.v, l, "left-transpose").T).T)
 
 
 def test_partial_error_equals_trailing_block():
