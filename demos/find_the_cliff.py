@@ -2,9 +2,9 @@
 """Locating a spectral cliff with one extra triangularization.
 
 The R diagonal of a single randomized factorization tracks the singular
-values only loosely.  Factorizing that R a second time (pivoted, then
-reading the diagonal of the resulting lower triangle) sharpens the
-estimates by orders of magnitude.  Here the test matrix has a clean rank
+values only loosely.  Factorizing that R a second time (an unpivoted QR
+of its transpose, then reading the diagonal of the resulting triangle)
+sharpens the estimates by orders of magnitude.  Here the test matrix has a clean rank
 split: sigma_64 / sigma_65 = 1e10.
 """
 

@@ -37,7 +37,9 @@ from .rurv import haar_operator, mix_apply, rurv_ros_partial, rvlu_ros
 from .transforms import column_norm_stats, ros_sample
 
 FAMILIES = ("kahan", "gap", "devils-stairs", "correlated", "condition", "heavytail")
-FACTOR_METHODS = tuple(FIRST_FACTORIZATIONS) + ("rvlu-ros",)
+# name -> f(a, num_mixes, rng) returning a full factorization's packed
+# HouseholderQR, whose diagonal is that of R (of L for rvlu-ros)
+FACTOR_METHODS = {**FIRST_FACTORIZATIONS, "rvlu-ros": lambda a, num_mixes, rng: rvlu_ros(a, num_mixes, rng).u}
 SOLVE_METHODS = tuple(SOLVERS)
 
 
@@ -182,15 +184,12 @@ def cmd_factor(args):
     if args.rank is not None and not 1 <= args.rank <= min(a.shape):
         raise ValueError(f"--rank must lie in [1, {min(a.shape)}], got {args.rank}")
     t0 = time.perf_counter()
-    # the diagonal of R (of L for rvlu-ros) is the diagonal of the packed factor
     if args.rank is not None:
-        r = rurv_ros_partial(a, args.rank, args.mixes, rng).u.packed
-    elif args.method == "rvlu-ros":
-        r = rvlu_ros(a, args.mixes, rng).u.packed
+        f = rurv_ros_partial(a, args.rank, args.mixes, rng).u
     else:
-        r = FIRST_FACTORIZATIONS[args.method](a, args.mixes, rng)
+        f = FACTOR_METHODS[args.method](a, args.mixes, rng)
     elapsed = _elapsed_since(t0, args)
-    values = np.abs(np.diagonal(r))[: args.rank]
+    values = np.abs(np.diagonal(f.packed))[: args.rank]
     if not np.all(np.isfinite(values)):
         raise NumericalError("factor has a non-finite diagonal entry")
     config = {
@@ -293,14 +292,10 @@ def _exp_rr_scaling(args, root):
         k = m - 1 if deterministic else max(1, m // 2)
         # deterministic families get one matrix per size; random families one
         # per instantiation, shared by every backend at that instantiation
-        if deterministic:
-            a, sigma = _build_matrix(args.family, m, m, args, None)
-            mats = [(a, _family_sigma(a, sigma))]
-        else:
-            mats = []
-            for _ in range(args.reps):
-                a, sigma = _build_matrix(args.family, m, m, args, root.spawn(1)[0])
-                mats.append((a, _family_sigma(a, sigma)))
+        mats = []
+        for mat_rng in [None] if deterministic else root.spawn(args.reps):
+            a, sigma = _build_matrix(args.family, m, m, args, mat_rng)
+            mats.append((a, _family_sigma(a, sigma)))
         # qrcp draws nothing and runs once per matrix; each mixing backend
         # runs once per instantiation on its own stream
         aggregates = []
@@ -309,7 +304,8 @@ def _exp_rr_scaling(args, root):
             for i in range(len(mats) if backend == "qrcp" else args.reps):
                 a, sigma_ref = mats[i % len(mats)]
                 rng = None if backend == "qrcp" else root.spawn(1)[0]
-                report = rr_conditions(sigma_ref, FIRST_FACTORIZATIONS[backend](a, args.mixes, rng), k)
+                r = np.triu(FIRST_FACTORIZATIONS[backend](a, args.mixes, rng).packed)
+                report = rr_conditions(sigma_ref, r, k)
                 reports.append(report)
                 rows.append([args.family, m, backend, i, 0, k,
                              report.max_ratio_r11, report.max_ratio_r22,
@@ -336,9 +332,9 @@ def _exp_rvalues(args, root):
     rows = []
     for backend in FIRST_FACTORIZATIONS:
         mix_rng = root.spawn(1)[0]
-        r = FIRST_FACTORIZATIONS[backend](a, args.mixes, mix_rng)
-        report = rvalue_ratios(r[:m, :m], sigma_ref)
-        rvalues = np.sort(np.abs(np.diagonal(r[:m, :m])))[::-1]
+        r = np.triu(FIRST_FACTORIZATIONS[backend](a, args.mixes, mix_rng).packed)
+        report = rvalue_ratios(r, sigma_ref)
+        rvalues = np.sort(np.abs(np.diagonal(r)))[::-1]
         for i in range(m):
             rows.append([args.family, m, backend, i, 0,
                          float(sigma_ref[i]), float(rvalues[i]), float(report.ratios[i]),
@@ -356,16 +352,15 @@ def _exp_qlp(args, root):
     a, sigma = _build_matrix(args.family, m, m, args, mat_rng)
     report = qlp(a, first=args.first, num_mixes=args.mixes, rng=mix_rng)
     lv = report.l_values
+    # a step-down ratio is taken only where the next L-value is nonzero
+    ratios = [float(lv[i] / lv[i + 1]) if lv[i + 1] > 0 else None for i in range(lv.size - 1)] + [None]
     header = ["family", "m", "first", "index", "agg", "sigma", "l_value", "ratio_next"]
     rows = []
-    for i in range(lv.size):
-        ratio = float(lv[i] / lv[i + 1]) if i + 1 < lv.size and lv[i + 1] > 0 else None
+    for i, ratio in enumerate(ratios):
         ref = float(sigma[i]) if sigma is not None else None
         rows.append([args.family, m, args.first, i, 0, ref, float(lv[i]), ratio])
-    ratios = lv[:-1] / lv[1:]
-    finite = ratios[np.isfinite(ratios)]
-    rows.append([args.family, m, args.first, "-", 1, None, None,
-                 float(np.max(finite)) if finite.size else None])
+    finite = [ratio for ratio in ratios if ratio is not None and np.isfinite(ratio)]
+    rows.append([args.family, m, args.first, "-", 1, None, None, max(finite, default=None)])
     config = {"family": args.family, "m": m, "first": args.first}
     return config, header, rows
 

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import back_substitute, extract_r, forward_substitute, house_qr, house_qrcp, jacobi_svd
+from .linalg import back_substitute, forward_substitute, house_qr, house_qrcp, jacobi_svd
 from .rurv import rurv_haar, rurv_ros
 
-# name -> f(a, num_mixes, rng) returning the full-height triangular factor R;
-# the order is the order of CLI choices and of experiment rows
+# name -> f(a, num_mixes, rng) returning the packed HouseholderQR of a full
+# factorization, whose upper triangle np.triu(f.packed) is R; the order is
+# the order of CLI choices and of experiment rows
 FIRST_FACTORIZATIONS = {
-    "qr": lambda a, num_mixes, rng: extract_r(house_qr(a)),
-    "qrcp": lambda a, num_mixes, rng: extract_r(house_qrcp(a)),
-    "rurv-haar": lambda a, num_mixes, rng: rurv_haar(a, rng).r,
-    "rurv-ros": lambda a, num_mixes, rng: rurv_ros(a, num_mixes, rng).r,
+    "qr": lambda a, num_mixes, rng: house_qr(a),
+    "qrcp": lambda a, num_mixes, rng: house_qrcp(a),
+    "rurv-haar": lambda a, num_mixes, rng: rurv_haar(a, rng).u,
+    "rurv-ros": lambda a, num_mixes, rng: rurv_ros(a, num_mixes, rng).u,
 }
 
 
@@ -196,7 +197,7 @@ def qlp(a, first="qrcp", num_mixes=1, rng=None):
     """
     if first not in FIRST_FACTORIZATIONS:
         raise ValueError(f"first must be one of {tuple(FIRST_FACTORIZATIONS)}, got {first!r}")
-    r = FIRST_FACTORIZATIONS[first](a, num_mixes, rng)
-    r = r[: min(r.shape), :]
+    f = FIRST_FACTORIZATIONS[first](a, num_mixes, rng)
+    r = np.triu(f.packed[: min(f.shape)])
     l_values = np.abs(np.diagonal(house_qr(r.T).packed))
     return QlpReport(l_values=np.sort(l_values)[::-1], first_factorization=first)

@@ -212,8 +212,16 @@ def _finish(a, b, x, method, draws=1, cond_estimate=None):
     )
 
 
-def _as_rhs(b, m):
-    """Return b, a vector or a single column of m finite entries, as a vector."""
+def _system(a, b, solver, wide):
+    """Return A as a finite matrix and b as a vector of m finite entries.
+
+    A must be wide (m < n) when ``wide`` is set and tall or square
+    otherwise, as ``solver`` needs; b may be a vector or a single column.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    if (m < n) != wide:
+        raise ValueError(f"{solver} needs m {'<' if wide else '>='} n, got {a.shape}")
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 and b.shape[1:] != (1,):
         raise ValueError(f"right-hand side must be a vector or a single column, got shape {b.shape}")
@@ -222,7 +230,7 @@ def _as_rhs(b, m):
         raise ValueError(f"right-hand side has {b.size} entries, expected {m}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side entries must be finite")
-    return b
+    return a, b
 
 
 def solve_overdetermined(a, b, method="qr-overdet", rng=None, num_mixes=1):
@@ -231,11 +239,7 @@ def solve_overdetermined(a, b, method="qr-overdet", rng=None, num_mixes=1):
     method "qr-overdet" factors A directly (V is the identity);
     "rurv-ros-overdet" mixes the columns first and unmixes the solution.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"solve_overdetermined needs m >= n, got {a.shape}")
-    b = _as_rhs(b, m)
+    a, b = _system(a, b, "solve_overdetermined", wide=False)
     if method not in OVERDETERMINED_METHODS:
         raise ValueError(f"method must be one of {OVERDETERMINED_METHODS}, got {method!r}")
     _, x = _basis(a, method, rng, num_mixes)(b)
@@ -262,6 +266,9 @@ class _Basis:
     def __call__(self, rhs):
         k = self.r.shape[0]
         y1 = back_substitute(self.r, apply_qt(self.f, rhs)[:k])
+        if not np.all(np.isfinite(y1)):
+            # an overflow, caught here before to_x unmixes it
+            raise NumericalError("triangular solve gave non-finite coefficients")
         y = np.concatenate((y1, np.zeros(self.n - k)))
         return y, self.to_x(y)
 
@@ -341,11 +348,7 @@ def solve_basic(a, b, method="rurv-ros-basic", rng=None, num_mixes=1):
     the residual down to the rounding floor; without it the mix and unmix
     rounding would sit in the result at a few extra ulps.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m >= n:
-        raise ValueError(f"solve_basic needs m < n, got {a.shape}")
-    b = _as_rhs(b, m)
+    a, b = _system(a, b, "solve_basic", wide=True)
     if method not in BASIC_METHODS:
         raise ValueError(f"method must be one of {BASIC_METHODS}, got {method!r}")
     solve = _basis(a, method, rng, num_mixes)
@@ -361,15 +364,12 @@ def solve_min_norm(a, b, rng=None, num_mixes=1):
     result lies in the row space of A, which is what makes its norm minimal
     among all solutions.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m >= n:
-        raise ValueError(f"solve_min_norm needs m < n, got {a.shape}")
-    b = _as_rhs(b, m)
+    a, b = _system(a, b, "solve_min_norm", wide=True)
     fac = rvlu_ros(a, num_mixes, rng)
-    l = fac.l
-    _check_full_rank(np.diagonal(l))
-    z = forward_substitute(l, mix_apply(fac.v, b, "left"))
+    # L = R.T, R the leading triangle of the packed factor
+    r = np.triu(fac.u.packed[: a.shape[0]])
+    _check_full_rank(np.diagonal(r))
+    z = forward_substitute(r.T, mix_apply(fac.v, b, "left"))
     # x = Q [z; 0], the zero rows never formed
     x = apply_q(fac.u, z)
     return _finish(a, b, x, "rvlu-minnorm")

@@ -93,6 +93,8 @@ def gen_correlated(m, n, p, e, rng=None):
     """
     if p < 0 or n - p < p:
         raise ValueError(f"need 0 <= p and 2p <= n, got p={p}, n={n}")
+    if m < 1 or n < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {(m, n)}")
     rng = np.random.default_rng(rng)
     a = rng.standard_normal((m, n - p))
     if p:
@@ -124,6 +126,8 @@ def gen_heavytail(m=250, n=250, rng=None):
     divided by its mean column norm, so the returned matrix has mean column
     norm exactly 1 up to rounding.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {(m, n)}")
     rng = np.random.default_rng(rng)
     a = rng.standard_normal((m, n)) + np.exp(10.0 * rng.random((m, n)))
     a *= np.exp(2.0 * rng.random((1, n)))

@@ -4,7 +4,7 @@ A = U R V with orthogonal U, V and upper-triangular R.  U always stays in
 packed Householder form; V is a dense Haar-distributed orthogonal matrix,
 an implicit HaarOperator, or an implicit RosOperator, and mix_apply applies
 any of them.  The VLU variant mixes rows instead and factors the transpose,
-giving A = V.T L U for minimum-norm solves.
+giving A = V.T L U for minimum-norm solves: it is the URV of A.T.
 """
 
 from dataclasses import dataclass
@@ -38,20 +38,18 @@ class UrvFactorization:
 
 
 @dataclass
-class VluFactorization:
+class VluFactorization(UrvFactorization):
     """A = V.T L U with L lower triangular and U having orthonormal rows.
 
-    u is the packed QR of the mixed transpose; its thin Q, transposed, is U,
-    and its R, transposed, is L.  ``l`` is that transpose, a view of the
-    leading min(m, n) rows of extract_r(u), built each time it is read.
+    The record is the URV of A.T: (V A).T = Q R gives A.T = Q R V, so u is
+    the packed QR of the row-mixed transpose, U = Q.T, L = R.T, and v is a
+    RosOperator with no presort.  ``l`` is the transposed view of the
+    leading min(m, n) rows of ``r``, built each time it is read.
     """
-
-    v: RosOperator
-    u: HouseholderQR
 
     @property
     def l(self):
-        return extract_r(self.u)[: min(self.u.shape), :].T
+        return self.r[: min(self.u.shape), :].T
 
 
 @dataclass
@@ -181,7 +179,7 @@ def rvlu_ros(a, num_mixes=1, rng=None):
     rng = np.random.default_rng(rng)
     v = ros_sample(a.shape[0], num_mixes, rng)
     mixed = ros_apply(v, a, "left")
-    return VluFactorization(v=v, u=house_qr(mixed.T))
+    return VluFactorization(u=house_qr(mixed.T), v=v)
 
 
 def urv_reconstruct(fac):
@@ -199,11 +197,5 @@ def urv_reconstruct(fac):
 
 
 def vlu_reconstruct(fac):
-    """Multiply V.T L U back together.
-
-    V.T (L U) = (V.T L) U: V.T unmixes the min(m, n) columns of L, and U,
-    the transposed thin Q of the packed factor, then acts on the result
-    through Q [(V.T L).T; 0], which apply_q forms from (V.T L).T alone.
-    """
-    w = mix_apply(fac.v, fac.l, "left-transpose")
-    return apply_q(fac.u, w.T).T
+    """Multiply V.T L U back together, as the transpose of A.T = Q R V."""
+    return urv_reconstruct(fac).T

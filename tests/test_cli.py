@@ -10,7 +10,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mixfactor import column_norm_stats, gen_heavytail, gen_kahan, haar_sample, read_matrix
+from mixfactor import (
+    column_norm_stats,
+    extract_r,
+    gen_heavytail,
+    gen_kahan,
+    haar_sample,
+    house_qr,
+    house_qrcp,
+    read_matrix,
+    rurv_haar,
+    rurv_ros,
+    rurv_ros_partial,
+    rvlu_ros,
+)
 from mixfactor.cli import FACTOR_METHODS, SOLVE_METHODS, _build_parser, _family_sigma, _parse_sizes, main
 
 
@@ -83,6 +96,16 @@ def test_gen_sigma_out_rejected_for_unprescribed_family(tmp_path, capsys):
     assert "spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--family", "correlated", "--m", "0", "--n", "3", "--p", "0"],
+                                   ["--family", "heavytail", "--m", "3", "--n", "0"]])
+def test_gen_empty_shape_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "e.mm"
+    assert run_cli("gen", *flags, "--out", str(out)) == 2
+    assert "dimensions must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # factor
 
@@ -111,6 +134,32 @@ def test_factor_partial_rank(tmp_path):
                    "--rank", "8", "--seed", "2", "--out", str(out)) == 0
     _, _, rows = read_csv(out)
     assert len(rows) == 8
+
+
+@pytest.mark.parametrize("mixes", ["1", "2"])
+@pytest.mark.parametrize("m,n", [(130, 140), (140, 130)])
+@pytest.mark.parametrize("flags", [["--method", m] for m in FACTOR_METHODS] + [["--rank", "65"]])
+def test_factor_values_are_the_diagonal_of_r(tmp_path, flags, m, n, mixes):
+    # every method reports |diag R| (|diag L| for rvlu-ros) of the factor
+    # its Python function returns, bit for bit through the 17-digit CSV
+    from mixfactor import write_matrix
+
+    mat, out = tmp_path / "a.mm", tmp_path / "f.csv"
+    write_matrix(mat, np.random.default_rng(m + n).standard_normal((m, n)))
+    a, rng, k = read_matrix(mat), np.random.default_rng(8), int(mixes)
+    triangles = {
+        "qr": lambda: extract_r(house_qr(a)),
+        "qrcp": lambda: extract_r(house_qrcp(a)),
+        "rurv-haar": lambda: rurv_haar(a, rng).r,
+        "rurv-ros": lambda: rurv_ros(a, k, rng).r,
+        "rvlu-ros": lambda: rvlu_ros(a, k, rng).l,
+        "--rank": lambda: rurv_ros_partial(a, 65, k, rng).r[:65],
+    }
+    want = np.abs(np.diagonal(triangles[flags[1] if flags[0] == "--method" else "--rank"]()))
+    assert run_cli("factor", "--in", str(mat), *flags, "--mixes", mixes, "--seed", "8",
+                   "--out", str(out)) == 0
+    _, _, rows = read_csv(out)
+    assert np.array_equal([float(row[1]) for row in rows], want)
 
 
 def test_factor_rank_only_for_ros(tmp_path, capsys):
@@ -251,6 +300,22 @@ def test_overflowing_solve_exits_3_from_the_console(tmp_path):
     assert "mixfactor: numerical failure" in proc.stderr
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_ros_solve_of_overflowing_rhs_is_numerical_failure(tmp_path, capsys):
+    # R is finite but the triangular solve overflows on b times 1e307
+    from mixfactor import write_matrix
+
+    rng = np.random.default_rng(0)
+    a_path, b_path = tmp_path / "a.mm", tmp_path / "b.mm"
+    write_matrix(a_path, rng.standard_normal((20, 30)))
+    write_matrix(b_path, 1e307 * rng.standard_normal(20))
+    rc = run_cli("solve", "--a", str(a_path), "--b", str(b_path), "--method", "rurv-ros-basic")
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert captured.out == ""
+
+
 def test_solve_shape_mismatch_is_usage_error(tmp_path):
     a_path, b_path = make_system(tmp_path, seed=3)
     rc = run_cli("solve", "--a", str(a_path), "--b", str(a_path),
@@ -350,6 +415,22 @@ def test_exp_qlp_devils_stairs(tmp_path):
     assert len(agg_rows) == 1
     # largest step-down ratio is near the stair jump of 10
     assert 2.0 < float(agg_rows[0][header.index("ratio_next")]) < 50.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_qlp_zero_l_value_has_no_ratio(tmp_path):
+    # exactly duplicated columns leave an L-value of 0: the rows before it
+    # and the aggregate, the largest finite row ratio, divide by none
+    out = tmp_path / "q.csv"
+    assert run_cli("exp", "qlp", "--family", "correlated", "--p", "3", "--e", "0", "--m", "16",
+                   "--first", "qrcp", "--no-timestamp", "--out", str(out)) == 0
+    _, header, rows = read_csv(out)
+    ratio, agg = header.index("ratio_next"), header.index("agg")
+    lv = [float(row[header.index("l_value")]) for row in rows if row[agg] == "0"]
+    assert 0.0 in lv
+    finite = [float(row[ratio]) for row in rows if row[agg] == "0" and row[ratio]]
+    agg_row = [row for row in rows if row[agg] == "1"][0]
+    assert float(agg_row[ratio]) == max(finite)
 
 
 def test_exp_ls_bench_reports_all_methods(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mixfactor import (
+    HouseholderQR,
     extract_r,
     gen_devils_stairs,
     gen_gap,
@@ -179,7 +180,22 @@ def test_qlp_l_values_are_the_diagonal_of_the_second_r(first, m, n, layout):
     # read from the second QR's packed factor, they hold extract_r's bits
     a = np.asarray(np.random.default_rng(m + n).standard_normal((m, n)), order=layout)
     report = qlp(a, first, 2, np.random.default_rng(5))
-    r = FIRST_FACTORIZATIONS[first](a, 2, np.random.default_rng(5))
+    r = extract_r(FIRST_FACTORIZATIONS[first](a, 2, np.random.default_rng(5)))
     r = r[: min(r.shape), :]
     want = np.sort(np.abs(np.diagonal(extract_r(house_qr(r.T)))))[::-1]
     assert np.array_equal(report.l_values, want)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("m,n", [(300, 200), (200, 300)])
+@pytest.mark.parametrize("first", list(FIRST_FACTORIZATIONS))
+def test_first_factorizations_hand_on_the_packed_factor(first, m, n, layout):
+    # a full factorization's R is the upper triangle of its packed factor,
+    # with extract_r's bits and strides, also on wide input
+    a = np.asarray(np.random.default_rng(m + 2 * n).standard_normal((m, n)), order=layout)
+    f = FIRST_FACTORIZATIONS[first](a, 2, np.random.default_rng(9))
+    assert isinstance(f, HouseholderQR)
+    assert f.steps == min(m, n)
+    r, want = np.triu(f.packed), extract_r(f)
+    assert np.array_equal(r, want)
+    assert r.strides == want.strides

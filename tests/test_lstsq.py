@@ -11,6 +11,7 @@ from mixfactor import (
     OVERDETERMINED_METHODS,
     NumericalError,
     RankDeficiencyError,
+    apply_q,
     apply_qt,
     back_substitute,
     extract_r,
@@ -25,6 +26,7 @@ from mixfactor import (
     ros_sample,
     rurv_ros,
     rurv_ros_partial,
+    rvlu_ros,
     solve_basic,
     solve_min_norm,
     solve_overdetermined,
@@ -119,6 +121,29 @@ def test_overflowing_factor_is_a_numerical_failure(method):
     with pytest.raises(NumericalError, match="non-finite diagonal entry") as info:
         SOLVERS[method](1e155 * a, 1e155 * b, 57, 1)
     assert not isinstance(info.value, RankDeficiencyError)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_right_hand_side_near_the_float_maximum(method):
+    # R is finite, but b times 1e307 can overflow on the way to y: every
+    # solver returns a finite solution or raises NumericalError, and the ROS
+    # basic solve raises before unmixing a non-finite y
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((20, 30))
+    b = 1e307 * rng.standard_normal(20)
+    if method in OVERDETERMINED_METHODS:
+        a, b = a.T, 1e307 * rng.standard_normal(30)
+    if method == "rurv-ros-basic":
+        with pytest.raises(NumericalError, match="non-finite coefficients"):
+            SOLVERS[method](a, b, 1, 1)
+        return
+    try:
+        sol = SOLVERS[method](a, b, 1, 1)
+    except NumericalError:
+        return
+    assert np.all(np.isfinite(sol.x))
+    assert np.isfinite(sol.residual_norm) and np.isfinite(sol.solution_norm)
 
 
 def test_non_finite_solution_is_a_numerical_failure():
@@ -244,6 +269,20 @@ def test_min_norm_diagonal_system():
     a = np.hstack([np.diag([2.0, 4.0]), np.zeros((2, 3))])
     sol = solve_min_norm(a, np.array([2.0, 4.0]), rng=16)
     assert_allclose(sol.x, [1.0, 1.0, 0.0, 0.0, 0.0], atol=1e-13)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("mixes", [1, 2])
+@pytest.mark.parametrize("m,n", [(96, 144), (200, 300)])
+def test_min_norm_reads_l_from_the_packed_factor(m, n, mixes, layout):
+    # x keeps the bits of the solve through the transposed view
+    # L = extract_r(u)[:m].T that the VLU record's l gives
+    a, b = random_system(m, n, seed=m + n + mixes)
+    a = np.asarray(a, order=layout)
+    fac = rvlu_ros(a, mixes, np.random.default_rng(18))
+    l = extract_r(fac.u)[:m].T
+    want = apply_q(fac.u, forward_substitute(l, mix_apply(fac.v, b, "left")))
+    assert np.array_equal(solve_min_norm(a, b, np.random.default_rng(18), mixes).x, want)
 
 
 def test_min_norm_rank_deficient_raises():

@@ -126,6 +126,16 @@ def test_correlated_rejects_too_many_duplicates():
         gen_correlated(10, 10, p=6, e=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (-1, 4)])
+def test_correlated_and_heavytail_reject_empty_shapes(m, n):
+    # such a matrix could not be written as a file its own reader accepts
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        gen_correlated(m, n, 0, 0.0)
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        gen_heavytail(m, n)
+
+
 def test_heavytail_normalization_and_spread():
     a = gen_heavytail(250, 250, rng=6)
     stats = column_norm_stats(a)

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mixfactor import (
     HaarOperator,
     RosOperator,
+    UrvFactorization,
+    VluFactorization,
     apply_q,
     extract_r,
     form_q,
@@ -201,13 +203,18 @@ def test_r_and_l_are_read_from_the_packed_factor(m, n, layout):
         assert_same_array(fac.r, extract_r(fac.u))
         r_k = extract_r(fac.u)[: fac.u.steps]
         assert_same_array(urv_reconstruct(fac), apply_q(fac.u, mix_apply(fac.v, r_k, "right")))
-    fac = rvlu_ros(a, 2, rng=44)
-    assert set(vars(fac)) == {"v", "u"}
-    mixed_rows = ros_apply(ros_sample(m, 2, np.random.default_rng(44)), a, "left")
-    assert np.array_equal(fac.u.packed, house_qr(mixed_rows.T).packed)
-    l = extract_r(fac.u)[: min(m, n), :].T
-    assert_same_array(fac.l, l)
-    assert_same_array(vlu_reconstruct(fac), apply_q(fac.u, mix_apply(fac.v, l, "left-transpose").T).T)
+    # the VLU record is the URV of A.T: its l and its reconstruct, read
+    # through the URV's r and urv_reconstruct, keep the bits and strides of
+    # L = extract_r(u)[:min(m, n)].T and of (V.T L) U
+    assert issubclass(VluFactorization, UrvFactorization)
+    for mixes in (1, 2):
+        fac = rvlu_ros(a, mixes, rng=44)
+        assert set(vars(fac)) == {"u", "v"}
+        mixed_rows = ros_apply(ros_sample(m, mixes, np.random.default_rng(44)), a, "left")
+        assert np.array_equal(fac.u.packed, house_qr(mixed_rows.T).packed)
+        l = extract_r(fac.u)[: min(m, n), :].T
+        assert_same_array(fac.l, l)
+        assert_same_array(vlu_reconstruct(fac), apply_q(fac.u, mix_apply(fac.v, l, "left-transpose").T).T)
 
 
 def test_partial_error_equals_trailing_block():
